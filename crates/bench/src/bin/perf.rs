@@ -7,9 +7,10 @@
 //! roster reuses the ordinary runners; only wall-clock is added.
 //!
 //! `--profile` switches to a diagnostic mode that runs the roster once
-//! on directly-constructed machines and reports the event calendar's
-//! per-kind counters (scheduled, dispatched, superseded) plus dispatch
-//! rates — the observability window into the discrete-event core.
+//! on directly-constructed machines and reports, per wake source, how
+//! often it was live at a quiesce, how many jumps it bounded and how
+//! many cycles those jumps skipped — the observability window into the
+//! discrete-event core.
 //!
 //! Host timing (`std::time::Instant`) is allowed here — soe-lint bans
 //! it in the `sim`/`core` crates so simulated behaviour can never
@@ -50,6 +51,7 @@ use std::time::Instant;
 use serde::{Deserialize, Serialize};
 use soe_core::runner::{try_run_pair, try_run_single, RunConfig};
 use soe_model::FairnessLevel;
+use soe_sim::SourceStats;
 use soe_workloads::pairs::{paper_pairs, Pair};
 
 const SCHEMA: &str = "soe-perf/v1";
@@ -68,7 +70,7 @@ USAGE: perf [--quick] [--repeats N] [--out PATH] [--baseline PATH]
   --gate PCT       exit nonzero unless roster totals are within ±PCT%
                    of the baseline (the CI regression gate); requires
                    a readable baseline report
-  --profile        report per-event-kind calendar counters over the
+  --profile        report per-wake-source quiesce counters over the
                    roster instead of measuring throughput (no JSON)";
 
 /// One measured roster entry (also reused for the roster totals).
@@ -196,7 +198,7 @@ fn main() {
     let pairs = paper_pairs();
 
     if profile {
-        run_calendar_profile(&pairs, &cfg);
+        run_wake_profile(&pairs, &cfg);
         return;
     }
 
@@ -314,19 +316,17 @@ fn main() {
 }
 
 /// `--profile`: runs the measurement roster once on directly
-/// constructed machines and prints the event calendar's per-kind
-/// counters — how many entries each kind scheduled, how many the
-/// machine actually dispatched, how many were superseded by a
-/// tighter reschedule before coming due, and the dispatch rate per
-/// thousand simulated cycles. Purely diagnostic: no JSON is written
-/// and no wall-clock is measured.
-fn run_calendar_profile(pairs: &[Pair], cfg: &RunConfig) {
+/// constructed machines and prints, per wake source, how many quiesces
+/// found it live, how many jumps it bounded, how many cycles those
+/// jumps skipped, and its jump rate per thousand simulated cycles.
+/// Purely diagnostic: no JSON is written and no wall-clock is measured.
+fn run_wake_profile(pairs: &[Pair], cfg: &RunConfig) {
     use soe_core::{FairnessConfig, FairnessPolicy};
-    use soe_sim::calendar::ALL_KINDS;
+    use soe_sim::wake::ALL_KINDS;
     use soe_sim::{Machine, NeverSwitch, TraceSource};
 
     let cycles = cfg.warmup_cycles + cfg.measure_cycles;
-    println!("soe-perf --profile: calendar counters over {cycles} cycles per entry\n");
+    println!("soe-perf --profile: wake-source counters over {cycles} cycles per entry\n");
 
     let mut machines: Vec<(String, Machine)> = Vec::new();
     for label in ["swim:bzip2", "gcc:eon"] {
@@ -360,35 +360,36 @@ fn run_calendar_profile(pairs: &[Pair], cfg: &RunConfig) {
         let stats = m.calendar_stats();
         println!("  {name}");
         println!(
-            "    {:<14} {:>10} {:>11} {:>11} {:>12}",
-            "kind", "scheduled", "dispatched", "superseded", "disp/1k-cyc"
+            "    {:<16} {:>10} {:>13} {:>14} {:>12}",
+            "source", "live", "bounded jumps", "skipped cycles", "jumps/1k-cyc"
         );
-        let (mut sch, mut dis, mut sup) = (0u64, 0u64, 0u64);
-        // ALL_KINDS is declared in rank order, so the enumeration
-        // index doubles as the `kinds` table index.
-        for (rank, kind) in ALL_KINDS.into_iter().enumerate() {
-            let k = stats.kinds[rank];
-            sch += k.scheduled;
-            dis += k.dispatched;
-            sup += k.superseded;
-            println!(
-                "    {:<14} {:>10} {:>11} {:>11} {:>12.3}",
-                kind.name(),
-                k.scheduled,
-                k.dispatched,
-                k.superseded,
-                k.dispatched as f64 * 1000.0 / cycles as f64,
-            );
+        // ALL_KINDS is declared in rank order, so it zips with the
+        // rank-indexed `kinds` table.
+        for (kind, k) in ALL_KINDS.into_iter().zip(&stats.kinds) {
+            profile_row(kind.name(), k, cycles);
         }
-        println!(
-            "    {:<14} {:>10} {:>11} {:>11} {:>12.3}\n",
-            "total",
-            sch,
-            dis,
-            sup,
-            dis as f64 * 1000.0 / cycles as f64,
-        );
+        let total = stats
+            .kinds
+            .iter()
+            .fold(SourceStats::default(), |t, k| SourceStats {
+                scheduled: t.scheduled + k.scheduled,
+                dispatched: t.dispatched + k.dispatched,
+                skipped: t.skipped + k.skipped,
+            });
+        profile_row("total", &total, cycles);
+        println!();
     }
+}
+
+fn profile_row(label: &str, k: &SourceStats, cycles: u64) {
+    println!(
+        "    {:<16} {:>10} {:>13} {:>14} {:>12.3}",
+        label,
+        k.scheduled,
+        k.dispatched,
+        k.skipped,
+        k.dispatched as f64 * 1000.0 / cycles as f64,
+    );
 }
 
 fn report_line(e: &Entry, previous: Option<&Report>) {

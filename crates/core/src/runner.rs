@@ -211,34 +211,52 @@ pub fn try_run_traces_with_policy(
             "roster must contain at least one thread".into(),
         ));
     }
-    if singles.len() != traces.len() {
-        return Err(SimError::InvalidConfig(format!(
-            "{} single-thread reference(s) for a {}-thread roster",
-            singles.len(),
-            traces.len()
-        )));
-    }
+    check_singles(singles, traces.len())?;
     cfg.machine
         .check()
         .map_err(|e| SimError::InvalidConfig(e.0))?;
     let policy_name = policy.name().to_string();
     let mut m = Machine::new(cfg.machine, traces, policy);
-    m.try_run_cycles(cfg.warmup_cycles, cfg.stall_window)?;
-    m.reset_stats();
-    let now = m.now();
-    m.policy_mut().on_measure_start(now);
-    let start = m.now();
-    m.try_run_cycles(cfg.measure_cycles, cfg.stall_window)?;
-    let cycles = m.now() - start;
-    let stats = m.stats().clone();
+    let cycles = warm_up_and_measure(&mut m, cfg, None)?;
     Ok(assemble_pair_run(
         label,
         policy_name,
         target,
         cycles,
-        &stats,
+        m.stats(),
         singles,
     ))
+}
+
+/// `singles` must hold one single-thread reference per roster thread.
+fn check_singles(singles: &[SingleRun], threads: usize) -> Result<(), SimError> {
+    if singles.len() == threads {
+        return Ok(());
+    }
+    Err(SimError::InvalidConfig(format!(
+        "{} single-thread reference(s) for a {threads}-thread roster",
+        singles.len()
+    )))
+}
+
+/// The methodology every pair-style runner shares: warm up, zero the
+/// statistics, open the policy's measurement window (restarting
+/// `tracer`, if any, so its trace covers exactly that window), then
+/// measure. Returns the measured cycle count.
+fn warm_up_and_measure(
+    m: &mut Machine,
+    cfg: &RunConfig,
+    tracer: Option<&SharedTracer>,
+) -> Result<u64, SimError> {
+    m.try_run_cycles(cfg.warmup_cycles, cfg.stall_window)?;
+    m.reset_stats();
+    let start = m.now();
+    m.policy_mut().on_measure_start(start);
+    if let Some(t) = tracer {
+        t.borrow_mut().restart(start);
+    }
+    m.try_run_cycles(cfg.measure_cycles, cfg.stall_window)?;
+    Ok(m.now() - start)
 }
 
 /// Builds the finalized [`PairRun`] from measured statistics — shared by
@@ -312,20 +330,16 @@ pub struct TracedPairRun {
 ///
 /// # Errors
 ///
-/// [`SimError::InvalidConfig`] before the machine is built;
-/// [`SimError::Stalled`] / [`SimError::Wedged`] from the run itself.
-///
-/// # Panics
-///
-/// Panics if `singles` does not contain one entry per thread in pair
-/// order — a caller bug, not a run failure.
+/// [`SimError::InvalidConfig`] for a `singles` length mismatch or a bad
+/// configuration, before the machine is built; [`SimError::Stalled`] /
+/// [`SimError::Wedged`] from the run itself.
 pub fn try_run_pair_traced(
     pair: &Pair,
     f: FairnessLevel,
     singles: &[SingleRun],
     cfg: &RunConfig,
 ) -> Result<TracedPairRun, SimError> {
-    assert_eq!(singles.len(), 2, "one single-thread reference per thread");
+    check_singles(singles, 2)?;
     let fairness = cfg.with_target(f);
     fairness
         .check(2)
@@ -340,18 +354,17 @@ pub fn try_run_pair_traced(
     let policy_name = policy.name().to_string();
     let mut m = Machine::new(cfg.machine, pair.boxed_traces(), Box::new(policy));
     m.attach_tracer(Rc::clone(&tracer));
-    m.try_run_cycles(cfg.warmup_cycles, cfg.stall_window)?;
-    m.reset_stats();
-    let now = m.now();
-    m.policy_mut().on_measure_start(now);
-    tracer.borrow_mut().restart(m.now());
-    let start = m.now();
-    m.try_run_cycles(cfg.measure_cycles, cfg.stall_window)?;
-    let cycles = m.now() - start;
-    let stats = m.stats().clone();
+    let cycles = warm_up_and_measure(&mut m, cfg, Some(&tracer))?;
     let trace = tracer.borrow_mut().take();
     Ok(TracedPairRun {
-        run: assemble_pair_run(pair.label(), policy_name, Some(f), cycles, &stats, singles),
+        run: assemble_pair_run(
+            pair.label(),
+            policy_name,
+            Some(f),
+            cycles,
+            m.stats(),
+            singles,
+        ),
         trace,
     })
 }
@@ -585,5 +598,29 @@ mod tests {
             f0.fairness
         );
         assert!(f1.forced_switches > 0, "enforcement must force switches");
+    }
+
+    #[test]
+    fn traced_pair_singles_mismatch_is_a_typed_error() {
+        let pair = Pair {
+            a: "swim",
+            b: "eon",
+        };
+        let singles = [SingleRun {
+            name: "swim".into(),
+            retired: 1,
+            cycles: 1,
+            ipc_st: 1.0,
+            l2_misses: 0,
+            ipm: 1.0,
+        }];
+        match try_run_pair_traced(&pair, FairnessLevel::HALF, &singles, &tiny_cfg()) {
+            Err(SimError::InvalidConfig(msg)) => assert!(
+                msg.contains("1 single-thread reference(s) for a 2-thread roster"),
+                "unhelpful message: {msg}"
+            ),
+            Err(e) => panic!("expected InvalidConfig, got {e}"),
+            Ok(_) => panic!("mismatched singles must not run"),
+        }
     }
 }

@@ -296,7 +296,7 @@ mod tests {
                  // soe-lint: allow(panic-unwrap): invariant: queue non-empty\n\
                  x.unwrap();\n\
                  }\n\
-                 fn schedule_wake_events(&mut self) {}\n\
+                 fn next_wake(&mut self) {}\n\
                  }\n",
             )],
             &Baseline::default(),
@@ -333,9 +333,7 @@ mod tests {
                     "fn trace_jsonl() {}\nfn chrome_trace() {}\nfn trace_series() {}\n\
                      fn full_results() {}\nimpl MetricsRegistry { fn to_csv(&self) {} }\n\
                      impl SloReport { fn build() {} }\n\
-                     impl Machine { fn step(&self) {} fn schedule_wake_events(&self) {} \
-                     fn event_valid(&self) {} }\n\
-                     impl Calendar { fn schedule(&mut self) {} }\n\
+                     impl Machine { fn step(&self) {} fn next_wake(&self) {} }\n\
                      fn run_pair_with_policy() {}\nfn serve() {}\nfn run_scenario() {}\n\
                      impl FairnessPolicy { fn recalc(&self) {} fn on_switch_in(&self) {} \
                      fn on_switch_out(&self) {} fn after_retire(&self) {} fn each_cycle(&self) {} }",

@@ -18,18 +18,15 @@ use crate::lexer::{Token, TokenKind};
 use crate::workspace::Workspace;
 
 /// The functions the simulator cannot afford to have panic or drift:
-/// the cycle-level hot loop, the event-calendar dispatch loop and its
-/// handlers (`Machine::step` pops entries, `schedule_wake_events`
-/// schedules every live wake source, `event_valid` revalidates popped
-/// entries against live state), the pair/scenario runners, the service
-/// dispatch entry points, and every `FairnessPolicy` tick. Panic
-/// reachability is computed from these. `lookup` resolves each name;
-/// the pass reports a configuration error if one stops resolving (so a
-/// rename cannot silently empty the analysis — see the self-check).
+/// the cycle-level hot loop and its quiesce jump (`Machine::step`, which
+/// reaches `next_wake` and every wake source), the pair/scenario
+/// runners, the service dispatch entry points, and every
+/// `FairnessPolicy` tick. Panic reachability is computed from these.
+/// `lookup` resolves each name; the pass reports a configuration error
+/// if one stops resolving (so a rename cannot silently empty the
+/// analysis — see the self-check).
 pub const HOT_PATH_ROOTS: &[&str] = &[
     "Machine::step",
-    "Machine::schedule_wake_events",
-    "Machine::event_valid",
     "run_pair_with_policy",
     "serve",
     "run_scenario",
@@ -61,12 +58,12 @@ pub const SERIALIZATION_SINKS: &[&str] = &[
     "full_results",
 ];
 
-/// Functions that decide *when simulated events happen*: the global
-/// event calendar's scheduling entry points. A nondeterministic value
-/// reaching one of these perturbs dispatch order — and through it every
-/// downstream artifact — even if no serializer ever sees the value
-/// directly, so they are determinism-taint sinks of their own kind.
-pub const ORDERING_SINKS: &[&str] = &["Calendar::schedule", "Machine::schedule_wake_events"];
+/// Functions that decide *when simulated events happen*: the machine's
+/// next-wake choice. A nondeterministic value reaching it perturbs the
+/// jump target — and through it every downstream artifact — even if no
+/// serializer ever sees the value directly, so it is a determinism-taint
+/// sink of its own kind.
+pub const ORDERING_SINKS: &[&str] = &["Machine::next_wake"];
 
 /// Enums whose variants are a serialization schema: every exporter or
 /// validator `match` that dispatches on them must handle all variants,
@@ -136,8 +133,8 @@ pub fn all_passes() -> Vec<Pass> {
             severity: Severity::Error,
             description: "no nondeterminism source (wall clock, env, hash iteration, \
                           thread ids) may flow through the call graph into journal/\
-                          trace/metrics/SLO/ResultSet serialization or into event-\
-                          calendar scheduling (which sets simulated dispatch order)",
+                          trace/metrics/SLO/ResultSet serialization or into the \
+                          machine's next-wake choice (which sets simulated event order)",
             check: check_determinism_taint,
         },
         Pass {
@@ -758,12 +755,7 @@ mod tests {
         vec![
             (
                 "crates/sim/src/core.rs",
-                "impl Machine { fn step(&mut self) { } fn schedule_wake_events(&mut self) { } \
-                 fn event_valid(&self) { } }",
-            ),
-            (
-                "crates/sim/src/calendar.rs",
-                "impl Calendar { fn schedule(&mut self) { } }",
+                "impl Machine { fn step(&mut self) { } fn next_wake(&mut self) { } }",
             ),
             (
                 "crates/core/src/runner.rs",
@@ -818,8 +810,7 @@ mod tests {
         let mut files = scaffold();
         files[0] = (
             "crates/sim/src/core.rs",
-            "impl Machine { fn step(&mut self) { tally(1); } \
-             fn schedule_wake_events(&mut self) { } fn event_valid(&self) { } }",
+            "impl Machine { fn step(&mut self) { tally(1); } fn next_wake(&mut self) { } }",
         );
         files.push((
             "crates/stats/src/lib.rs",
@@ -1011,12 +1002,16 @@ mod tests {
     }
 
     #[test]
-    fn taint_into_calendar_scheduling_is_an_ordering_flow() {
+    fn taint_into_the_next_wake_is_an_ordering_flow() {
         let mut files = scaffold();
+        files[0] = (
+            "crates/sim/src/core.rs",
+            "impl Machine { fn step(&mut self) { } \
+             fn next_wake(&mut self) { let j = jitter(); } }",
+        );
         files.push((
             "crates/sim/src/backend/wake.rs",
-            "fn jitter() -> u64 { let t = Instant::now(); 0 }\n\
-             fn wake(cal: &mut Calendar) { let j = jitter(); cal.schedule(); }",
+            "fn jitter() -> u64 { let t = Instant::now(); 0 }",
         ));
         let w = ws(&files);
         let fs = run(&w, "determinism-taint");
@@ -1024,12 +1019,13 @@ mod tests {
         let f = &fs[0];
         assert!(
             f.message
-                .contains("event-ordering sink `Calendar::schedule`"),
+                .contains("event-ordering sink `Machine::next_wake`"),
             "{}",
             f.message
         );
         let notes: Vec<&str> = f.trail.iter().map(|s| s.note.as_str()).collect();
-        assert!(notes[0].contains("passes data into event-ordering sink"));
+        assert!(notes[0].contains("event-ordering sink `Machine::next_wake` runs while tainted"));
+        assert!(notes[1].contains("`Machine::next_wake` calls `jitter`"));
     }
 
     #[test]

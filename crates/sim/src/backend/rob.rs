@@ -9,8 +9,7 @@
 //!   position)` pairs, which makes "what completes now?"
 //!   ([`Rob::complete_until`]) and "when does the next thing
 //!   complete?" ([`Rob::earliest_completion`]) cheap — the latter
-//!   feeds the machine's event calendar as the `RobComplete` wake
-//!   source;
+//!   is the machine's `RobComplete` wake source;
 //! * occupancy counters (waiting / loads / stores) for rename-stage
 //!   resource checks ([`Rob::occupancy`]);
 //! * a wake-on-writeback issue scheduler. Every `Waiting` entry is

@@ -245,7 +245,7 @@ pub struct MachineConfig {
     /// Skip idle cycles when the whole machine is provably quiescent
     /// (pure simulation speedup; results are identical). Scheduled
     /// switch-policy decision points (Δ-window recalculations,
-    /// cycle-quota expiries) are first-class calendar events, so jumps
+    /// cycle-quota expiries) are wake sources of their own, so jumps
     /// always stop at them: a fast-forwarded run takes every decision at
     /// the exact cycle a tick-by-tick run would.
     pub fast_forward: bool,

@@ -10,7 +10,6 @@
 //! predictor state are shared and survive switches.
 
 use crate::backend::{EntryState, FuPool, Rob};
-use crate::calendar::{Calendar, CalendarEvent, CalendarStats, ALL_KINDS};
 use crate::config::MachineConfig;
 use crate::config::PredictorKind;
 use crate::error::SimError;
@@ -22,6 +21,7 @@ use crate::switch::{SwitchDecision, SwitchPolicy, SwitchReason};
 use crate::trace::TraceSource;
 use crate::types::{Cycle, InstrIndex, ThreadId};
 use crate::uop::UopKind;
+use crate::wake::{WakeSource, WakeStats, ALL_KINDS};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum CoreState {
@@ -87,10 +87,8 @@ pub struct Machine {
     scratch_resolved: Vec<InstrIndex>,
     /// Reused buffer for `run_until_retired`'s per-thread targets.
     scratch_targets: Vec<InstrIndex>,
-    /// The global event calendar: every wake source becomes a scheduled
-    /// entry when the machine quiesces, and `step` advances by popping
-    /// the earliest live one (see [`crate::calendar`]).
-    calendar: Calendar,
+    /// Per-source quiesce counters (see [`crate::wake`]).
+    wake_stats: WakeStats,
     /// The next cycle at which the switch policy can possibly act
     /// (cached from `next_decision_at`); the per-cycle `each_cycle`
     /// virtual call is skipped until then. `0` forces re-evaluation.
@@ -151,7 +149,7 @@ impl Machine {
             total_retired: 0,
             scratch_resolved: Vec::new(),
             scratch_targets: Vec::new(),
-            calendar: Calendar::new(),
+            wake_stats: WakeStats::default(),
             policy_due: 0,
             cfg,
             traces,
@@ -216,10 +214,12 @@ impl Machine {
         &mut *self.policy
     }
 
-    /// Event-calendar scheduling/dispatch counters (see
-    /// [`crate::calendar`]); surfaced by `soe-perf --profile`.
-    pub fn calendar_stats(&self) -> &CalendarStats {
-        self.calendar.stats()
+    /// Per-source wake counters: how often each source was live at a
+    /// quiesce, how many jumps it bounded and how many cycles those
+    /// jumps skipped (see [`crate::wake`]); surfaced by
+    /// `soe-perf --profile`.
+    pub fn calendar_stats(&self) -> &WakeStats {
+        &self.wake_stats
     }
 
     /// Architectural position (committed instruction count) of `tid`,
@@ -619,24 +619,23 @@ impl Machine {
 
     /// The live wake cycle of `kind` — the earliest cycle at which that
     /// source can make the machine progress — or `None` while it cannot.
-    /// Scheduling ([`Machine::schedule_wake_events`]) and revalidation
-    /// ([`Machine::event_valid`]) both read this one definition.
+    /// [`Machine::next_wake`] takes the min over this one definition.
     ///
     /// Every source is O(1) or O(log ROB): completions come from the
     /// ROB's completion heap, the rest are front-end, store-buffer and
-    /// policy timestamps. Cache fills and bus grants need no kinds of
+    /// policy timestamps. Cache fills and bus grants need no sources of
     /// their own: the hierarchy is timestamp-passing, so they surface as
     /// the completion/resume timestamps of the accesses that triggered
     /// them.
-    fn wake_at(&self, kind: CalendarEvent) -> Option<Cycle> {
+    fn wake_at(&self, kind: WakeSource) -> Option<Cycle> {
         if let CoreState::Draining { until, .. } = self.state {
             // During a drain the stages, the store buffer and the policy
             // are all skipped, so the switch-in is the only event.
-            return (kind == CalendarEvent::DrainDone).then_some(until);
+            return (kind == WakeSource::DrainDone).then_some(until);
         }
         match kind {
-            CalendarEvent::DrainDone => None,
-            CalendarEvent::RobComplete => {
+            WakeSource::DrainDone => None,
+            WakeSource::RobComplete => {
                 let done = self.rob.earliest_completion();
                 // An entry still eligible after a tick without progress
                 // was ready but turned away by a busy unit, and only the
@@ -649,17 +648,17 @@ impl Machine {
                 let free = self.fu.div_free_at().max(self.now);
                 Some(done.map_or(free, |d| d.min(free)))
             }
-            CalendarEvent::FetchResume => self.fetch.next_activity().map(|c| c.max(self.now)),
+            WakeSource::FetchResume => self.fetch.next_activity().map(|c| c.max(self.now)),
             // The front micro-op wakes rename only if rename has room for
             // it. Only retirement and issue free that room, and both wait
             // on `RobComplete` or `StoreDrain`, so a blocked front needs
             // no wake of its own.
-            CalendarEvent::FrontReady => self
+            WakeSource::FrontReady => self
                 .fetch
                 .front()
                 .filter(|e| self.can_rename(e.uop.kind))
                 .map(|e| e.ready_at.max(self.now)),
-            CalendarEvent::StoreDrain => {
+            WakeSource::StoreDrain => {
                 (!self.store_queue.is_empty()).then(|| self.store_drain_at.max(self.now + 1))
             }
             // A scheduled policy decision (Δ-window recalculation, cycle
@@ -670,67 +669,53 @@ impl Machine {
             // due exactly there must suppress the jump (`step` skips
             // jumps to `now`) so the ordinary tick consults the policy on
             // time rather than one cycle late.
-            CalendarEvent::PolicyDecision if self.multi() => self
+            WakeSource::PolicyDecision if self.multi() => self
                 .policy
                 .next_decision_at(self.current, self.now)
                 .map(|c| c.max(self.now)),
-            CalendarEvent::PolicyDecision => None,
+            WakeSource::PolicyDecision => None,
         }
     }
 
-    /// Schedules every live wake source on the event calendar. Called at
-    /// quiesce time; per-kind dedup makes re-scheduling an unchanged
-    /// source free.
-    fn schedule_wake_events(&mut self) {
-        for kind in ALL_KINDS {
-            if let Some(c) = self.wake_at(kind) {
-                self.calendar.schedule(kind, c);
-            }
+    /// The earliest live wake over every source, a same-cycle tie going
+    /// to the lowest rank, or `None` when no source is live. Counts each
+    /// live source.
+    fn next_wake(&mut self) -> Option<(Cycle, WakeSource)> {
+        let wakes = ALL_KINDS.map(|kind| self.wake_at(kind).map(|c| (c, kind)));
+        for (k, wake) in self.wake_stats.kinds.iter_mut().zip(wakes) {
+            k.scheduled += u64::from(wake.is_some());
         }
+        wakes.into_iter().flatten().min()
     }
 
-    /// Revalidates a popped calendar entry against live component state:
-    /// `true` iff the source still wakes at exactly `cycle`. A stale
-    /// entry (its source squashed, switched away, or re-scheduled) is
-    /// superseded and safe to discard, because every quiesce re-schedules
-    /// all live sources before the calendar is consulted.
-    fn event_valid(&self, kind: CalendarEvent, cycle: Cycle) -> bool {
-        self.wake_at(kind) == Some(cycle)
-    }
-
-    /// One step: tick, and on quiescence advance `now` to the earliest
-    /// live calendar entry (clamped to `limit`, so a run never
-    /// overshoots its requested end cycle).
+    /// One step: tick, and on quiescence advance `now` to the next wake
+    /// (clamped to `limit`, so a run never overshoots its requested end
+    /// cycle).
     fn step(&mut self, limit: Cycle) -> Result<(), SimError> {
         let progress = self.tick();
         if !progress && self.cfg.fast_forward {
-            self.schedule_wake_events();
-            loop {
-                let Some((cycle, kind)) = self.calendar.peek() else {
-                    return Err(SimError::Wedged {
-                        cycle: self.now,
-                        thread: self.current,
-                        rob_len: self.rob.len(),
-                    });
-                };
-                if !self.event_valid(kind, cycle) {
-                    self.calendar.discard_top();
-                    continue;
+            let Some((cycle, kind)) = self.next_wake() else {
+                return Err(SimError::Wedged {
+                    cycle: self.now,
+                    thread: self.current,
+                    rob_len: self.rob.len(),
+                });
+            };
+            // A wake due exactly at `now` needs no jump: the next tick
+            // processes that cycle.
+            if cycle > self.now {
+                let to = cycle.min(limit);
+                if let Some(k) = self.wake_stats.kinds.get_mut(kind as usize) {
+                    k.dispatched += 1;
+                    k.skipped += to - self.now;
                 }
-                if cycle > self.now {
-                    self.calendar.dispatch_top();
-                    self.now = cycle.min(limit);
-                    if matches!(self.state, CoreState::Running) {
-                        // Drain jumps leave `stats.cycles` where ticked
-                        // drains left it: it is refreshed by the first
-                        // post-drain tick.
-                        self.stats.cycles = self.now;
-                    }
+                self.now = to;
+                if matches!(self.state, CoreState::Running) {
+                    // Drain jumps leave `stats.cycles` where ticked
+                    // drains left it: it is refreshed by the first
+                    // post-drain tick.
+                    self.stats.cycles = self.now;
                 }
-                // An entry due exactly at `now` stays on the calendar;
-                // the next tick processes that cycle and the entry is
-                // dispatched (or superseded) afterwards.
-                break;
             }
         }
         Ok(())

@@ -45,7 +45,6 @@
 #![warn(missing_docs)]
 
 pub mod backend;
-pub mod calendar;
 pub mod config;
 mod core;
 mod error;
@@ -57,9 +56,9 @@ mod switch;
 mod trace;
 mod types;
 mod uop;
+pub mod wake;
 
 pub use crate::core::Machine;
-pub use calendar::{Calendar, CalendarEvent, CalendarStats, KindStats};
 pub use config::{
     CacheConfig, ConfigError, MachineConfig, PipelineConfig, PredictorConfig, PredictorKind,
     SoeConfig, TlbConfig,
@@ -71,3 +70,4 @@ pub use switch::{NeverSwitch, SwitchDecision, SwitchOnEvent, SwitchPolicy, Switc
 pub use trace::{AluTrace, PatternTrace, TraceSource};
 pub use types::{Addr, Cycle, InstrIndex, ThreadId};
 pub use uop::{Uop, UopKind};
+pub use wake::{SourceStats, WakeSource, WakeStats};

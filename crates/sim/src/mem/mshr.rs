@@ -126,7 +126,7 @@ impl MshrFile {
     }
 
     /// Earliest fill completion strictly after `now`, if any fill is in
-    /// flight — feeds the machine's event calendar.
+    /// flight.
     pub fn earliest_fill(&mut self, now: Cycle) -> Option<Cycle> {
         self.expire(now);
         self.slots
