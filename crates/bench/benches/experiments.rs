@@ -6,7 +6,8 @@
 //! benches use sharply reduced windows.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use soe_core::runner::{run_pair, run_singles, RunConfig};
+use soe_core::runner::{run_singles, run_spec, RunConfig, RunSpec};
+use soe_core::PolicyFactory;
 use soe_model::example::table2_rows;
 use soe_model::sweep::{f_sweep, figure3_configs};
 use soe_model::timeshare::time_share;
@@ -49,10 +50,15 @@ fn bench_pair_run(c: &mut Criterion) {
         a: "swim",
         b: "eon",
     };
-    let singles = run_singles(&pair, &cfg);
+    let singles = run_singles(&pair, &cfg).expect("references run");
+    let factory = PolicyFactory::builtin();
     for f in [FairnessLevel::NONE, FairnessLevel::PERFECT] {
         g.bench_with_input(BenchmarkId::from_parameter(f.label()), &f, |b, f| {
-            b.iter(|| black_box(run_pair(&pair, *f, &singles, &cfg)));
+            b.iter(|| {
+                let spec = RunSpec::named(&factory, "fairness", &[pair.a, pair.b], *f, &cfg)
+                    .expect("valid spec");
+                black_box(run_spec(spec, &singles).expect("run succeeds"))
+            });
         });
     }
     g.finish();

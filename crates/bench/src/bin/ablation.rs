@@ -7,7 +7,7 @@
 
 use soe_bench::{banner, run_config, run_supervised, write_observability, Cli};
 use soe_core::pool::Job;
-use soe_core::runner::{try_run_pair_with_policy, RunConfig};
+use soe_core::runner::{run_singles, run_spec, RunConfig, RunSpec};
 use soe_core::{FairnessConfig, FairnessPolicy};
 use soe_model::FairnessLevel;
 use soe_stats::{fnum, Align, Table};
@@ -29,22 +29,11 @@ fn run_with(
     cfg: &RunConfig,
     fairness: FairnessConfig,
 ) -> Result<soe_core::PairRun, String> {
-    try_run_pair_with_policy(
-        pair,
-        Box::new(FairnessPolicy::new(2, fairness)),
-        singles,
-        cfg,
-        Some(fairness.target),
-    )
-    .map_err(|e| e.to_string())
-}
-
-fn try_singles(pair: &Pair, cfg: &RunConfig) -> Result<[soe_core::SingleRun; 2], String> {
-    let (a, b) = pair.traces();
-    Ok([
-        soe_core::runner::try_run_single(Box::new(a), cfg).map_err(|e| e.to_string())?,
-        soe_core::runner::try_run_single(Box::new(b), cfg).map_err(|e| e.to_string())?,
-    ])
+    let policy = Box::new(FairnessPolicy::new(2, fairness));
+    RunSpec::roster(&[pair.a, pair.b], policy, Some(fairness.target), *cfg)
+        .and_then(|spec| run_spec(spec, singles))
+        .map(|out| out.run)
+        .map_err(|e| e.to_string())
 }
 
 fn main() {
@@ -60,7 +49,7 @@ fn main() {
         a: "swim",
         b: "eon",
     };
-    let singles = try_singles(&pair, &base_cfg).unwrap_or_else(|e| {
+    let singles = run_singles(&pair, &base_cfg).unwrap_or_else(|e| {
         eprintln!("error: measuring baseline references: {e}");
         std::process::exit(1);
     });
@@ -204,7 +193,7 @@ fn main() {
     let job_singles = singles;
     let runs = run_supervised(jobs, &cli, move |v| {
         if v.remeasure_singles {
-            let singles = try_singles(&job_pair, &v.cfg)?;
+            let singles = run_singles(&job_pair, &v.cfg).map_err(|e| e.to_string())?;
             run_with(&job_pair, &singles, &v.cfg, v.fairness)
         } else {
             run_with(&job_pair, &job_singles, &v.cfg, v.fairness)

@@ -8,12 +8,12 @@
 //! (IPC, IPM) spectrum as the SPEC workloads the paper used.
 
 use soe_bench::{banner, run_config, sizing_from_args};
-use soe_core::runner::run_single;
-use soe_sim::{Machine, MachineConfig, NeverSwitch};
+use soe_core::runner::try_run_single;
+use soe_sim::{Machine, MachineConfig, NeverSwitch, SimError};
 use soe_stats::{fnum, Align, Table};
 use soe_workloads::{spec, SyntheticTrace};
 
-fn main() {
+fn main() -> Result<(), SimError> {
     let sizing = sizing_from_args();
     banner("Workload calibration (single-thread references)", sizing);
     let cfg = run_config(sizing);
@@ -41,7 +41,7 @@ fn main() {
         let trace = SyntheticTrace::new(profile, 0x10_0000_0000, 0);
 
         // Full single run for IPC/IPM.
-        let s = run_single(Box::new(trace.clone()), &cfg);
+        let s = try_run_single(Box::new(trace.clone()), &cfg)?;
 
         // A second short run for the microarchitectural rates.
         let mut m = Machine::new(
@@ -69,4 +69,5 @@ fn main() {
     }
     println!("{table}");
     println!("CPM derived as cycles/miss minus the 300-cycle memory latency.");
+    Ok(())
 }

@@ -5,7 +5,7 @@
 
 use soe_bench::{banner, run_config, run_supervised, save_svg, write_observability, Cli};
 use soe_core::pool::Job;
-use soe_core::runner::try_run_single;
+use soe_core::runner::run_singles;
 use soe_core::timeseries::{estimated_ipc_st_series, fairness_series, speedup_series};
 use soe_core::{FairnessConfig, FairnessPolicy, SingleRun, WindowRecord};
 use soe_model::FairnessLevel;
@@ -89,13 +89,9 @@ fn main() {
     ];
     let job_pair = pair.clone();
     let mut out = run_supervised(jobs, &cli, move |task| match task {
-        Task::Singles => {
-            let (a, b) = job_pair.traces();
-            Ok(Measured::Singles([
-                try_run_single(Box::new(a), &cfg).map_err(|e| e.to_string())?,
-                try_run_single(Box::new(b), &cfg).map_err(|e| e.to_string())?,
-            ]))
-        }
+        Task::Singles => Ok(Measured::Singles(
+            run_singles(&job_pair, &cfg).map_err(|e| e.to_string())?,
+        )),
         Task::Records(f) => Ok(Measured::Records(run_with_records(&job_pair, *f, &cfg)?)),
     })
     .into_iter();

@@ -2,11 +2,13 @@
 //! and F=1 for a handful of pairs, with reduced windows. Used while
 //! calibrating the workload profiles.
 
-use soe_core::runner::{run_pair, run_singles, RunConfig};
+use soe_core::runner::{run_singles, run_spec, RunConfig, RunSpec};
+use soe_core::{PairRun, PolicyFactory};
 use soe_model::FairnessLevel;
+use soe_sim::SimError;
 use soe_workloads::Pair;
 
-fn main() {
+fn main() -> Result<(), SimError> {
     let mut cfg = RunConfig::paper();
     cfg.warmup_cycles = 1_000_000;
     cfg.measure_cycles = 3_000_000;
@@ -31,10 +33,15 @@ fn main() {
         "{:<14} {:>8} {:>8} {:>9} {:>9} {:>9} {:>9}",
         "pair", "ST[0]", "ST[1]", "F0 tput", "F0 spd%", "F1 tput", "F0 fair"
     );
+    let factory = PolicyFactory::builtin();
     for pair in pairs {
-        let singles = run_singles(&pair, &cfg);
-        let f0 = run_pair(&pair, FairnessLevel::NONE, &singles, &cfg);
-        let f1 = run_pair(&pair, FairnessLevel::PERFECT, &singles, &cfg);
+        let singles = run_singles(&pair, &cfg)?;
+        let run = |f| -> Result<PairRun, SimError> {
+            let spec = RunSpec::named(&factory, "fairness", &[pair.a, pair.b], f, &cfg)?;
+            Ok(run_spec(spec, &singles)?.run)
+        };
+        let f0 = run(FairnessLevel::NONE)?;
+        let f1 = run(FairnessLevel::PERFECT)?;
         println!(
             "{:<14} {:>8.3} {:>8.3} {:>9.3} {:>8.1}% {:>9.3} {:>9.3}",
             pair.label(),
@@ -46,4 +53,5 @@ fn main() {
             f0.fairness,
         );
     }
+    Ok(())
 }

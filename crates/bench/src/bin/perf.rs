@@ -49,7 +49,8 @@
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
-use soe_core::runner::{try_run_pair, try_run_single, RunConfig};
+use soe_core::runner::{run_singles, run_spec, try_run_single, RunConfig, RunSpec};
+use soe_core::PolicyFactory;
 use soe_model::FairnessLevel;
 use soe_sim::SourceStats;
 use soe_workloads::pairs::{paper_pairs, Pair};
@@ -131,15 +132,13 @@ fn run_single_entry(pair: &Pair, cfg: &RunConfig) -> (u64, u64) {
 /// would); returns (sim_cycles, retired) across all three runs, the
 /// cycles counting each run's warm-up.
 fn run_pair_entry(pair: &Pair, f: FairnessLevel, cfg: &RunConfig) -> (u64, u64) {
-    let (a, b) = pair.traces();
-    let singles = [
-        try_run_single(Box::new(a), cfg)
-            .unwrap_or_else(|e| die(&format!("pair {} singles: {e}", pair.label()))),
-        try_run_single(Box::new(b), cfg)
-            .unwrap_or_else(|e| die(&format!("pair {} singles: {e}", pair.label()))),
-    ];
-    let r = try_run_pair(pair, f, &singles, cfg)
-        .unwrap_or_else(|e| die(&format!("pair {}: {e}", pair.label())));
+    let singles = run_singles(pair, cfg)
+        .unwrap_or_else(|e| die(&format!("pair {} singles: {e}", pair.label())));
+    let factory = PolicyFactory::builtin();
+    let r = RunSpec::named(&factory, "fairness", &[pair.a, pair.b], f, cfg)
+        .and_then(|spec| run_spec(spec, &singles))
+        .unwrap_or_else(|e| die(&format!("pair {}: {e}", pair.label())))
+        .run;
     let retired: u64 = r.threads.iter().map(|t| t.retired).sum();
     (
         3 * cfg.warmup_cycles + singles[0].cycles + singles[1].cycles + r.cycles,

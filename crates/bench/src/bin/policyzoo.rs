@@ -3,7 +3,7 @@
 //! N-way policy-comparison deliverable.
 //!
 //! Every cell of the grid (roster size × policy × fairness target)
-//! runs the same roster under [`soe_core::runner::try_run_multi_named`]
+//! runs the same roster under [`soe_core::runner::RunSpec::named`]
 //! with the registry's uniform F→knob translation, so disciplines are
 //! compared at matched aggressiveness, not hand-tuned settings. The
 //! results land as deterministic JSON (`policyzoo-{full,quick}.json`):
@@ -12,7 +12,7 @@
 
 use soe_bench::{banner, run_config, run_supervised, save_svg, write_observability, Cli, Sizing};
 use soe_core::pool::Job;
-use soe_core::runner::{try_run_multi_named, try_run_single};
+use soe_core::runner::{run_spec, try_run_single, RunSpec};
 use soe_core::{atomic_write, PairRun, PolicyFactory, SingleRun};
 use soe_model::FairnessLevel;
 use soe_stats::{fnum, svg, Align, Table, TimeSeries};
@@ -124,7 +124,9 @@ fn main() {
             .min(cfg.fairness.delta / (n as u64 + 1));
         cfg_n.warmup_cycles = cfg.warmup_cycles * n as u64;
         let factory = PolicyFactory::builtin();
-        try_run_multi_named(&factory, p, &ROSTER[..n], *f, &job_singles[..n], &cfg_n)
+        RunSpec::named(&factory, p, &ROSTER[..n], *f, &cfg_n)
+            .and_then(|spec| run_spec(spec, &job_singles[..n]))
+            .map(|out| out.run)
             .map_err(|e| e.to_string())
     });
 

@@ -9,7 +9,7 @@
 
 use soe_bench::{banner, run_config, run_supervised, write_observability, Cli};
 use soe_core::pool::Job;
-use soe_core::runner::{try_run_multi_named, try_run_single};
+use soe_core::runner::{run_spec, try_run_single, RunSpec};
 use soe_core::PolicyFactory;
 use soe_model::FairnessLevel;
 use soe_stats::{fnum, Align, Table};
@@ -71,15 +71,10 @@ fn main() {
         // Every thread needs its share of warm-up.
         cfg_n.warmup_cycles = cfg.warmup_cycles * n as u64;
         let factory = PolicyFactory::builtin();
-        try_run_multi_named(
-            &factory,
-            &job_policy,
-            &ROSTER[..n],
-            *f,
-            &job_singles[..n],
-            &cfg_n,
-        )
-        .map_err(|e| e.to_string())
+        RunSpec::named(&factory, &job_policy, &ROSTER[..n], *f, &cfg_n)
+            .and_then(|spec| run_spec(spec, &job_singles[..n]))
+            .map(|out| out.run)
+            .map_err(|e| e.to_string())
     });
 
     let mut t = Table::new(vec![

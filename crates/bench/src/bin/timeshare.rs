@@ -3,14 +3,16 @@
 //! comparison of time-slice quotas against the fairness mechanism.
 
 use soe_bench::{banner, run_config, sizing_from_args};
-use soe_core::runner::{run_pair, run_pair_timeslice, run_singles};
+use soe_core::runner::{run_singles, run_spec, RunSpec};
+use soe_core::{PolicyFactory, TimeSlicePolicy};
 use soe_model::example::table2_scenario;
 use soe_model::timeshare::time_share;
 use soe_model::FairnessLevel;
+use soe_sim::SimError;
 use soe_stats::{fnum, Align, Table};
 use soe_workloads::Pair;
 
-fn main() {
+fn main() -> Result<(), SimError> {
     let sizing = sizing_from_args();
     banner(
         "Section 6: simple time sharing vs the fairness mechanism",
@@ -35,7 +37,8 @@ fn main() {
     let cfg = run_config(sizing);
     let pair = Pair { a: "gcc", b: "eon" };
     println!("Simulated comparison on {} :", pair.label());
-    let singles = run_singles(&pair, &cfg);
+    let singles = run_singles(&pair, &cfg)?;
+    let names = [pair.a, pair.b];
 
     let mut t = Table::new(vec![
         "policy".into(),
@@ -59,14 +62,16 @@ fn main() {
         ]);
     };
     for quota in [400, 2_000, 10_000, 50_000] {
-        add(&run_pair_timeslice(&pair, quota, &singles, &cfg));
+        let policy = Box::new(TimeSlicePolicy::new(quota));
+        add(&run_spec(RunSpec::roster(&names, policy, None, cfg)?, &singles)?.run);
     }
     for f in [
         FairnessLevel::NONE,
         FairnessLevel::HALF,
         FairnessLevel::PERFECT,
     ] {
-        add(&run_pair(&pair, f, &singles, &cfg));
+        let spec = RunSpec::named(&PolicyFactory::builtin(), "fairness", &names, f, &cfg)?;
+        add(&run_spec(spec, &singles)?.run);
     }
     println!("{t}");
     println!(
@@ -74,4 +79,5 @@ fn main() {
          slices keep throughput but leave execution unfair. The mechanism hits the\n\
          target fairness at a fraction of the switches."
     );
+    Ok(())
 }

@@ -25,10 +25,10 @@ use std::path::PathBuf;
 
 use serde::{Deserialize, Serialize};
 use soe_core::pool::Job;
-use soe_core::runner::{try_run_pair, try_run_single, RunConfig};
+use soe_core::runner::{run_spec, try_run_single, RunConfig, RunSpec};
 use soe_core::{atomic_write, supervise_jobs_with, Journal, SuperviseOptions, SuperviseReport};
 pub use soe_core::{FailureManifest, SkippedRun};
-use soe_core::{PairRun, SingleRun};
+use soe_core::{PairRun, PolicyFactory, SingleRun};
 use soe_model::FairnessLevel;
 use soe_workloads::pairs::paper_pairs;
 use soe_workloads::Pair;
@@ -414,7 +414,11 @@ pub fn run_matrix_supervised(
             move |&(index, f)| {
                 let pair = &pairs[index];
                 let pair_singles = [singles[pair.a].clone(), singles[pair.b].clone()];
-                try_run_pair(pair, f, &pair_singles, &cfg).map_err(|e| e.to_string())
+                let factory = PolicyFactory::builtin();
+                RunSpec::named(&factory, "fairness", &[pair.a, pair.b], f, &cfg)
+                    .and_then(|spec| run_spec(spec, &pair_singles))
+                    .map(|out| out.run)
+                    .map_err(|e| e.to_string())
             },
         )
     };

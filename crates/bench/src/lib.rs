@@ -356,7 +356,7 @@ pub struct Observability {
 /// trace fails validation.
 pub fn observe_pair(sizing: Sizing) -> Result<Observability, String> {
     use soe_core::obs;
-    use soe_core::runner::{try_run_pair_traced, try_run_single};
+    use soe_core::runner::{run_spec, try_run_single, RunSpec};
 
     let cfg = run_config(sizing);
     let pair = soe_workloads::Pair {
@@ -372,16 +372,21 @@ pub fn observe_pair(sizing: Sizing) -> Result<Observability, String> {
             try_run_single(Box::new(trace), &cfg).map_err(|e| e.to_string())
         })
         .collect::<Result<_, String>>()?;
-    let traced = try_run_pair_traced(&pair, soe_model::FairnessLevel::HALF, &singles, &cfg)
-        .map_err(|e| e.to_string())?;
     let names = [pair.a, pair.b];
-    let jsonl = obs::trace_jsonl(&traced.trace, &names);
+    let factory = soe_core::PolicyFactory::builtin();
+    let f = soe_model::FairnessLevel::HALF;
+    let mut spec =
+        RunSpec::named(&factory, "fairness", &names, f, &cfg).map_err(|e| e.to_string())?;
+    spec.trace = Some(soe_sim::obs::TraceConfig::default());
+    let out = run_spec(spec, &singles).map_err(|e| e.to_string())?;
+    let trace = out.trace.ok_or("the traced run returned no trace")?;
+    let jsonl = obs::trace_jsonl(&trace, &names);
     let summary =
         obs::check_jsonl(&jsonl).map_err(|e| format!("captured trace failed validation: {e}"))?;
-    let chrome = obs::chrome_trace(&traced.trace, &names);
-    let series_csv = soe_stats::series_to_csv(&obs::trace_series(&traced.trace));
-    let mut metrics = obs::metrics::from_trace(&traced.trace);
-    metrics.merge(&obs::metrics::from_pair_run(&traced.run));
+    let chrome = obs::chrome_trace(&trace, &names);
+    let series_csv = soe_stats::series_to_csv(&obs::trace_series(&trace));
+    let mut metrics = obs::metrics::from_trace(&trace);
+    metrics.merge(&obs::metrics::from_pair_run(&out.run));
     Ok(Observability {
         jsonl,
         chrome,

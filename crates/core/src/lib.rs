@@ -21,24 +21,29 @@
 //! [`SwitchPolicy`](soe_sim::SwitchPolicy); [`TimeSlicePolicy`] is the
 //! Section 6 strawman baseline; the [`runner`] module reproduces the
 //! paper's methodology (warm up → reset → measure, single-thread
-//! references, pair runs across F levels).
+//! references) as one run path, [`runner::run_spec`].
 //!
 //! # Examples
 //!
 //! Measure a strongly unfair pair, then enforce fairness 1/2:
 //!
 //! ```no_run
-//! use soe_core::runner::{run_experiment, RunConfig};
+//! use soe_core::runner::{run_singles, run_spec, RunConfig, RunSpec};
+//! use soe_core::PolicyFactory;
 //! use soe_model::FairnessLevel;
 //! use soe_workloads::Pair;
 //!
+//! let cfg = RunConfig::quick();
 //! let pair = Pair { a: "gcc", b: "eon" };
-//! let exp = run_experiment(
-//!     &pair,
-//!     &[FairnessLevel::NONE, FairnessLevel::HALF],
-//!     &RunConfig::quick(),
-//! );
-//! assert!(exp.runs[1].fairness >= exp.runs[0].fairness);
+//! let singles = run_singles(&pair, &cfg)?;
+//! let factory = PolicyFactory::builtin();
+//! let mut fairness = Vec::new();
+//! for f in [FairnessLevel::NONE, FairnessLevel::HALF] {
+//!     let spec = RunSpec::named(&factory, "fairness", &[pair.a, pair.b], f, &cfg)?;
+//!     fairness.push(run_spec(spec, &singles)?.run.fairness);
+//! }
+//! assert!(fairness[1] >= fairness[0]);
+//! # Ok::<(), soe_sim::SimError>(())
 //! ```
 
 #![forbid(unsafe_code)]

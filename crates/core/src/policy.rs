@@ -183,14 +183,6 @@ impl FairnessPolicy {
         }
     }
 
-    /// Attaches a cycle-level event recorder (builder style); share the
-    /// same tracer with [`soe_sim::Machine::attach_tracer`] so mechanism
-    /// events interleave with the machine's switch and miss events.
-    pub fn with_tracer(mut self, tracer: SharedTracer) -> Self {
-        self.tracer = Some(tracer);
-        self
-    }
-
     /// Sets per-thread service weights (builder style): speedups are
     /// balanced proportionally to the weights instead of equally.
     ///
@@ -352,6 +344,10 @@ impl SwitchPolicy for FairnessPolicy {
             return SwitchDecision::Switch;
         }
         SwitchDecision::Continue
+    }
+
+    fn attach_tracer(&mut self, tracer: SharedTracer) {
+        self.tracer = Some(tracer);
     }
 
     fn on_measure_start(&mut self, _now: Cycle) {

@@ -38,12 +38,12 @@ use std::time::{Duration, Instant};
 
 use serde::Value;
 use soe_model::FairnessLevel;
-use soe_sim::SwitchPolicy;
 use soe_workloads::Checkpoint;
 
 use crate::metrics::SingleRun;
-use crate::policy::{FairnessPolicy, TimeSlicePolicy};
-use crate::runner::{try_run_multi_with_policy, try_run_single, RunConfig};
+use crate::policy::TimeSlicePolicy;
+use crate::registry::PolicyFactory;
+use crate::runner::{run_spec, try_run_single, RunConfig, RunSpec};
 use crate::serve::memo::{fnv1a64, MemoCache, MemoLookup};
 use crate::serve::proto::{parse_request, Request, Response, Scenario, ScenarioResult};
 use crate::serve::queue::{FairQueue, QueueDiscipline};
@@ -725,13 +725,10 @@ fn handle_line(
     Ok(false)
 }
 
-/// The sizing and mechanism parameters for one scenario: `quick()`
-/// parameters with the requested window sizes, and the cycle quota
-/// scaled down so `quota × threads ≤ Δ` holds for any roster size.
-fn scenario_run_config(sc: &Scenario) -> Result<RunConfig, String> {
-    if !sc.f.is_finite() || !(0.0..=1.0).contains(&sc.f) {
-        return Err(format!("fairness target out of range: {}", sc.f));
-    }
+/// The sizing and mechanism parameters for one checked scenario:
+/// `quick()` parameters with the requested window sizes, and the cycle
+/// quota scaled down so `quota × threads ≤ Δ` holds for any roster size.
+fn scenario_run_config(sc: &Scenario) -> RunConfig {
     let threads = sc.roster.len().max(1) as u64;
     let mut cfg = RunConfig::quick();
     cfg.warmup_cycles = sc.warmup_cycles;
@@ -743,64 +740,43 @@ fn scenario_run_config(sc: &Scenario) -> Result<RunConfig, String> {
         .fairness
         .min_quota_cycles
         .min(cfg.fairness.max_cycles_quota);
-    Ok(cfg)
+    cfg
 }
 
-/// Runs one validated scenario to its deterministic JSON payload.
+/// Runs one scenario to its deterministic JSON payload.
 ///
 /// # Errors
 ///
-/// A human-readable message (malformed roster, inconsistent mechanism
-/// parameters, or a structured `SimError` from the run) — the
-/// supervisor retries and ultimately quarantines on `Err`.
+/// A human-readable message (a field [`Scenario::check`] rejects,
+/// inconsistent mechanism parameters, or a structured `SimError` from
+/// the run) — the supervisor retries and ultimately quarantines on
+/// `Err`.
 pub fn run_scenario(sc: &Scenario) -> Result<String, String> {
+    sc.check().map_err(|e| e.to_string())?;
     let names: Vec<&str> = sc.roster.iter().map(String::as_str).collect();
-    for name in &names {
-        if soe_workloads::spec::profile(name).is_none() {
-            return Err(format!("unknown benchmark {name:?}"));
-        }
-    }
-    if names.len() < 2 {
-        return Err(format!(
-            "roster needs at least 2 threads, got {}",
-            names.len()
-        ));
-    }
-    let cfg = scenario_run_config(sc)?;
+    let cfg = scenario_run_config(sc);
     // Single-thread references: one per distinct benchmark, measured on
-    // the same trace (profile + base + offset) the group run schedules.
-    let traces = soe_workloads::pairs::group_traces(&names);
-    let mut singles_by: BTreeMap<&str, SingleRun> = BTreeMap::new();
-    for (name, trace) in names.iter().zip(traces) {
-        if singles_by.contains_key(name) {
-            continue;
-        }
-        let run = try_run_single(Box::new(trace), &cfg).map_err(|e| e.to_string())?;
-        singles_by.insert(name, run);
+    // the trace (profile + base + offset) of its first thread.
+    let mut singles: Vec<SingleRun> = Vec::with_capacity(names.len());
+    for (name, trace) in names.iter().zip(soe_workloads::pairs::group_traces(&names)) {
+        let single = match singles.iter().find(|s| s.name == *name) {
+            Some(s) => s.clone(),
+            None => try_run_single(Box::new(trace), &cfg).map_err(|e| e.to_string())?,
+        };
+        singles.push(single);
     }
-    let singles: Vec<SingleRun> = names
-        .iter()
-        .filter_map(|n| singles_by.get(n).cloned())
-        .collect();
-    let (policy, target): (Box<dyn SwitchPolicy>, Option<FairnessLevel>) = match sc.policy.as_str()
-    {
+    // The checked policy is `fairness` or `timeslice`; the protocol's
+    // timeslice takes its explicit quota, not the registry's derived one.
+    let (factory, f) = (PolicyFactory::builtin(), cfg.fairness.target);
+    let spec = match sc.policy.as_str() {
         "timeslice" => {
-            if sc.timeslice_cycles == 0 {
-                return Err("timeslice policy needs a nonzero cycle quota".to_string());
-            }
-            (Box::new(TimeSlicePolicy::new(sc.timeslice_cycles)), None)
+            let policy = Box::new(TimeSlicePolicy::new(sc.timeslice_cycles));
+            RunSpec::roster(&names, policy, None, cfg)
         }
-        "fairness" => {
-            cfg.fairness.check(names.len()).map_err(|e| e.0)?;
-            (
-                Box::new(FairnessPolicy::new(names.len(), cfg.fairness)),
-                Some(cfg.fairness.target),
-            )
-        }
-        other => return Err(format!("unknown policy {other:?}")),
-    };
-    let run = try_run_multi_with_policy(&names, policy, target, &singles, &cfg)
-        .map_err(|e| e.to_string())?;
+        name => RunSpec::named(&factory, name, &names, f, &cfg),
+    }
+    .map_err(|e| e.to_string())?;
+    let run = run_spec(spec, &singles).map_err(|e| e.to_string())?.run;
     let result = ScenarioResult { singles, run };
     serde_json::to_string(&result).map_err(|e| e.to_string())
 }
@@ -818,4 +794,29 @@ pub fn memo_key(sc: &Scenario) -> String {
         ident.push_str(&Checkpoint::capture(&trace, 0).memo_key());
     }
     format!("{}-{:016x}", sc.roster.join("+"), fnv1a64(ident.as_bytes()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn run_scenario_rejects_what_the_request_check_rejects() {
+        for (roster, policy, field) in [
+            (&["gcc"][..], "fairness", "scenario.roster"),
+            (&["gcc", "no-such-benchmark"], "fairness", "scenario.roster"),
+            (&["gcc", "eon"], "timeslice", "scenario.timeslice_cycles"),
+        ] {
+            let sc = Scenario {
+                roster: roster.iter().map(ToString::to_string).collect(),
+                policy: policy.to_string(),
+                f: 0.5,
+                timeslice_cycles: 0,
+                warmup_cycles: 10_000,
+                measure_cycles: 20_000,
+            };
+            let err = run_scenario(&sc).expect_err("an invalid scenario must not run");
+            assert!(err.contains(field), "{err:?} does not name {field}");
+        }
+    }
 }

@@ -334,7 +334,7 @@ mod tests {
                      fn full_results() {}\nimpl MetricsRegistry { fn to_csv(&self) {} }\n\
                      impl SloReport { fn build() {} }\n\
                      impl Machine { fn step(&self) {} fn next_wake(&self) {} }\n\
-                     fn run_pair_with_policy() {}\nfn serve() {}\nfn run_scenario() {}\n\
+                     fn run_spec() {}\nfn serve() {}\nfn run_scenario() {}\n\
                      impl FairnessPolicy { fn recalc(&self) {} fn on_switch_in(&self) {} \
                      fn on_switch_out(&self) {} fn after_retire(&self) {} fn each_cycle(&self) {} }",
                 ),

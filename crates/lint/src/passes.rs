@@ -19,15 +19,16 @@ use crate::workspace::Workspace;
 
 /// The functions the simulator cannot afford to have panic or drift:
 /// the cycle-level hot loop and its quiesce jump (`Machine::step`, which
-/// reaches `next_wake` and every wake source), the pair/scenario
-/// runners, the service dispatch entry points, and every
+/// reaches `next_wake` and every wake source), the runner's one run
+/// path (`run_spec`) and the scenario runner, the service dispatch
+/// entry points, and every
 /// `FairnessPolicy` tick. Panic reachability is computed from these.
 /// `lookup` resolves each name; the pass reports a configuration error
 /// if one stops resolving (so a rename cannot silently empty the
 /// analysis — see the self-check).
 pub const HOT_PATH_ROOTS: &[&str] = &[
     "Machine::step",
-    "run_pair_with_policy",
+    "run_spec",
     "serve",
     "run_scenario",
     "FairnessPolicy::recalc",
@@ -759,7 +760,7 @@ mod tests {
             ),
             (
                 "crates/core/src/runner.rs",
-                "fn run_pair_with_policy() { }\nfn run_scenario() { }\nfn serve() { }",
+                "fn run_spec() { }\nfn run_scenario() { }\nfn serve() { }",
             ),
             (
                 "crates/core/src/policy.rs",

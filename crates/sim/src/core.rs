@@ -159,10 +159,12 @@ impl Machine {
 
     /// Attaches a cycle-level event recorder. The machine emits
     /// switch-out/in and retire-rate events, and the memory hierarchy
-    /// (handed a clone of the same buffer) emits L2 miss/fill events;
-    /// policies emitting mechanism events should share this tracer too.
+    /// and the policy (each handed a clone of the same buffer, the
+    /// policy through [`SwitchPolicy::attach_tracer`]) emit L2
+    /// miss/fill and mechanism events.
     pub fn attach_tracer(&mut self, tracer: SharedTracer) {
         self.hier.attach_tracer(SharedTracer::clone(&tracer));
+        self.policy.attach_tracer(SharedTracer::clone(&tracer));
         self.tracer = Some(tracer);
     }
 

@@ -15,6 +15,7 @@
 //! single-thread reference runs and [`SwitchOnEvent`] for plain F = 0
 //! SOE).
 
+use crate::obs::SharedTracer;
 use crate::types::{Cycle, ThreadId};
 
 /// Whether to keep the current thread on the core or switch it out.
@@ -130,6 +131,14 @@ pub trait SwitchPolicy {
     /// Default: no-op.
     fn on_measure_start(&mut self, now: Cycle) {
         let _ = now;
+    }
+
+    /// The run is traced into `tracer` (handed over by
+    /// [`Machine::attach_tracer`](crate::Machine::attach_tracer)); policies
+    /// with mechanism events of their own keep it and emit into it.
+    /// Default: no-op.
+    fn attach_tracer(&mut self, tracer: SharedTracer) {
+        let _ = tracer;
     }
 
     /// The next cycle at or after `now` at which

@@ -12,7 +12,7 @@
 //! cargo run --release --example custom_policy
 //! ```
 
-use soe_repro::core::runner::{run_singles, try_run_multi_named, RunConfig};
+use soe_repro::core::runner::{run_singles, run_spec, RunConfig, RunSpec};
 use soe_repro::core::{PolicyError, PolicyFactory, PolicySpec};
 use soe_repro::model::FairnessLevel;
 use soe_repro::sim::{Cycle, SwitchDecision, SwitchPolicy, ThreadId};
@@ -56,7 +56,7 @@ fn main() {
     let pair = Pair { a: "art", b: "eon" };
     let roster = [pair.a, pair.b];
     let cfg = RunConfig::quick();
-    let singles = run_singles(&pair, &cfg);
+    let singles = run_singles(&pair, &cfg).expect("references run");
     println!(
         "pair {}: IPC_ST = {:.3} / {:.3}\n",
         pair.label(),
@@ -116,9 +116,10 @@ fn main() {
     // the same runner, at matched aggressiveness.
     for f in [FairnessLevel::NONE, FairnessLevel::HALF] {
         for name in factory.names() {
-            let r = try_run_multi_named(&factory, &name, &roster, f, &singles, &cfg)
+            let r = RunSpec::named(&factory, &name, &roster, f, &cfg)
+                .and_then(|spec| run_spec(spec, &singles))
                 .unwrap_or_else(|e| panic!("{name}: {e}"));
-            show(f, &r);
+            show(f, &r.run);
         }
         println!();
     }

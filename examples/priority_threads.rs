@@ -6,13 +6,14 @@
 //! cargo run --release --example priority_threads
 //! ```
 
-use soe_repro::core::runner::{run_pair_with_policy, run_singles, RunConfig};
+use soe_repro::core::runner::{run_singles, run_spec, RunConfig, RunSpec};
 use soe_repro::core::{FairnessConfig, FairnessPolicy};
 use soe_repro::model::weighted::{weighted_fairness, Weights};
 use soe_repro::model::FairnessLevel;
+use soe_repro::sim::SimError;
 use soe_repro::workloads::Pair;
 
-fn main() {
+fn main() -> Result<(), SimError> {
     // Foreground: lucas (FP kernel). Background: applu (comparable FP
     // code). Both would get ~equal service under plain fairness.
     let pair = Pair {
@@ -20,7 +21,7 @@ fn main() {
         b: "applu",
     };
     let cfg = RunConfig::quick();
-    let singles = run_singles(&pair, &cfg);
+    let singles = run_singles(&pair, &cfg)?;
     println!(
         "references: {} IPC_ST {:.3}, {} IPC_ST {:.3}\n",
         singles[0].name, singles[0].ipc_st, singles[1].name, singles[1].ipc_st
@@ -40,7 +41,8 @@ fn main() {
             ..cfg.fairness
         };
         let policy = FairnessPolicy::new(2, fairness).with_weights(weights.clone());
-        let r = run_pair_with_policy(&pair, Box::new(policy), &singles, &cfg, None);
+        let spec = RunSpec::roster(&[pair.a, pair.b], Box::new(policy), None, cfg)?;
+        let r = run_spec(spec, &singles)?.run;
         let speedups: Vec<f64> = r.threads.iter().map(|t| t.speedup).collect();
         println!(
             "{:<28} {:>10.3} {:>12.3} {:>12.3} {:>14.2}  (weighted fairness {:.2})",
@@ -60,4 +62,5 @@ fn main() {
          can be squeezed, so extreme weight ratios saturate — the same estimation-\n\
          accuracy guardrail the paper motivates for strict enforcement (Section 6)."
     );
+    Ok(())
 }

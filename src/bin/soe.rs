@@ -13,12 +13,11 @@
 
 use std::process::ExitCode;
 
-use soe_repro::core::runner::run_pair_with_policy;
-use soe_repro::core::runner::{run_pair, run_pair_timeslice, run_single, run_singles, RunConfig};
-use soe_repro::core::{FairnessPolicy, PairRun, SingleRun};
+use soe_repro::core::runner::{run_singles, run_spec, try_run_single, RunConfig, RunSpec};
+use soe_repro::core::{FairnessPolicy, PairRun, PolicyFactory, SingleRun, TimeSlicePolicy};
 use soe_repro::model::weighted::Weights;
 use soe_repro::model::{FairnessLevel, SoeModel, SystemParams, ThreadModel};
-use soe_repro::sim::{Machine, TraceSource};
+use soe_repro::sim::{MachineConfig, TraceSource};
 use soe_repro::workloads::{analyze_trace, spec, LitFile, Pair, SyntheticTrace};
 
 fn main() -> ExitCode {
@@ -90,24 +89,25 @@ fn parse_f(args: &[String]) -> Result<FairnessLevel, String> {
     }
 }
 
-fn config(args: &[String]) -> RunConfig {
+/// The run sizing (`--quick` or the paper's), on the machine that
+/// `--config` loads, if given.
+fn config(args: &[String]) -> Result<RunConfig, String> {
     let mut cfg = if args.iter().any(|a| a == "--quick") {
         RunConfig::quick()
     } else {
         RunConfig::paper()
     };
     if let Some(path) = flag_value(args, "--config") {
-        match std::fs::read_to_string(&path)
-            .map_err(|e| e.to_string())
-            .and_then(|json| serde_json::from_str(&json).map_err(|e| e.to_string()))
-        {
-            Ok(machine) => cfg.machine = machine,
-            Err(e) => {
-                eprintln!("warning: ignoring --config {path}: {e}");
-            }
-        }
+        let json =
+            std::fs::read_to_string(&path).map_err(|e| format!("reading --config {path}: {e}"))?;
+        let machine: MachineConfig =
+            serde_json::from_str(&json).map_err(|e| format!("parsing --config {path}: {e}"))?;
+        machine
+            .check()
+            .map_err(|e| format!("invalid machine in --config {path}: {}", e.0))?;
+        cfg.machine = machine;
     }
-    cfg
+    Ok(cfg)
 }
 
 fn cmd_analyze(args: &[String]) -> Result<(), String> {
@@ -239,12 +239,10 @@ fn cmd_single(args: &[String]) -> Result<(), String> {
         .first()
         .filter(|a| !a.starts_with("--"))
         .ok_or("usage: soe single <bench> [--quick]")?;
-    if spec::profile(name).is_none() {
-        return Err(format!("unknown benchmark `{name}`"));
-    }
-    let cfg = config(args);
-    let trace = SyntheticTrace::new(spec::profile(name).unwrap(), 0x10_0000_0000, 0);
-    let s = run_single(Box::new(trace), &cfg);
+    let profile = spec::profile(name).ok_or_else(|| format!("unknown benchmark `{name}`"))?;
+    let cfg = config(args)?;
+    let trace = SyntheticTrace::new(profile, 0x10_0000_0000, 0);
+    let s = try_run_single(Box::new(trace), &cfg).map_err(|e| e.to_string())?;
     print_single(&s);
     Ok(())
 }
@@ -258,14 +256,15 @@ fn print_single(s: &SingleRun) {
 
 fn cmd_pair(args: &[String]) -> Result<(), String> {
     let pair = parse_pair(args.first().ok_or("usage: soe pair <a:b> [--f F]")?)?;
-    let cfg = config(args);
-    let singles = run_singles(&pair, &cfg);
+    let cfg = config(args)?;
+    let singles = run_singles(&pair, &cfg).map_err(|e| e.to_string())?;
     for s in &singles {
         print_single(s);
     }
-    let run = if let Some(q) = flag_value(args, "--timeslice") {
+    let names = [pair.a, pair.b];
+    let spec = if let Some(q) = flag_value(args, "--timeslice") {
         let q: u64 = q.parse().map_err(|_| "bad --timeslice value")?;
-        run_pair_timeslice(&pair, q, &singles, &cfg)
+        RunSpec::roster(&names, Box::new(TimeSlicePolicy::new(q)), None, cfg)
     } else if let Some(w) = flag_value(args, "--weights") {
         let weights: Vec<f64> = w
             .split(',')
@@ -282,10 +281,15 @@ fn cmd_pair(args: &[String]) -> Result<(), String> {
             FairnessLevel::PERFECT
         };
         let policy = FairnessPolicy::new(2, fc).with_weights(Weights::new(weights));
-        run_pair_with_policy(&pair, Box::new(policy), &singles, &cfg, Some(fc.target))
+        RunSpec::roster(&names, Box::new(policy), Some(fc.target), cfg)
     } else {
-        run_pair(&pair, parse_f(args)?, &singles, &cfg)
+        let factory = PolicyFactory::builtin();
+        RunSpec::named(&factory, "fairness", &names, parse_f(args)?, &cfg)
     };
+    let run = spec
+        .and_then(|spec| run_spec(spec, &singles))
+        .map_err(|e| e.to_string())?
+        .run;
     println!();
     print_run(&run);
     Ok(())
@@ -293,8 +297,8 @@ fn cmd_pair(args: &[String]) -> Result<(), String> {
 
 fn cmd_sweep(args: &[String]) -> Result<(), String> {
     let pair = parse_pair(args.first().ok_or("usage: soe sweep <a:b>")?)?;
-    let cfg = config(args);
-    let singles = run_singles(&pair, &cfg);
+    let cfg = config(args)?;
+    let singles = run_singles(&pair, &cfg).map_err(|e| e.to_string())?;
     for s in &singles {
         print_single(s);
     }
@@ -302,8 +306,12 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
         "\n{:<8} {:>10} {:>10} {:>12} {:>12} {:>9}",
         "F", "IPC_SOE", "fairness", "speedup[0]", "speedup[1]", "forced"
     );
+    let factory = PolicyFactory::builtin();
     for f in FairnessLevel::paper_levels() {
-        let r = run_pair(&pair, f, &singles, &cfg);
+        let r = RunSpec::named(&factory, "fairness", &[pair.a, pair.b], f, &cfg)
+            .and_then(|spec| run_spec(spec, &singles))
+            .map_err(|e| e.to_string())?
+            .run;
         println!(
             "{:<8} {:>10.3} {:>10.3} {:>12.3} {:>12.3} {:>9}",
             f.label(),
@@ -384,53 +392,38 @@ fn cmd_replay(args: &[String]) -> Result<(), String> {
     let b = args.get(1).filter(|x| !x.starts_with("--")).ok_or(usage)?;
     let lit_a = LitFile::load(a).map_err(|e| format!("loading {a}: {e}"))?;
     let lit_b = LitFile::load(b).map_err(|e| format!("loading {b}: {e}"))?;
-    let cfg = config(args);
+    let cfg = config(args)?;
     let f = parse_f(args)?;
 
     // Single-thread references for the replayed traces.
-    let single = |lit: &LitFile| -> SingleRun { run_single(Box::new(lit.clone()), &cfg) };
-    let singles = [single(&lit_a), single(&lit_b)];
+    let single = |lit: &LitFile| try_run_single(Box::new(lit.clone()), &cfg);
+    let singles = [single(&lit_a), single(&lit_b)]
+        .into_iter()
+        .collect::<Result<Vec<SingleRun>, _>>()
+        .map_err(|e| e.to_string())?;
     for s in &singles {
         print_single(s);
     }
 
-    // The runner's pair entry points build traces from benchmark names;
-    // recorded traces go through the generic policy runner instead.
-    let policy = FairnessPolicy::new(2, {
-        let mut fc = cfg.fairness;
-        fc.target = f;
-        fc
-    });
-    let mut m = Machine::new(
-        cfg.machine,
-        vec![
-            Box::new(lit_a) as Box<dyn TraceSource>,
-            Box::new(lit_b) as Box<dyn TraceSource>,
-        ],
-        Box::new(policy),
-    );
-    m.run_cycles(cfg.warmup_cycles);
-    m.reset_stats();
-    let start = m.now();
-    m.run_cycles(cfg.measure_cycles);
-    let cycles = m.now() - start;
+    let mut fc = cfg.fairness;
+    fc.target = f;
+    let spec = RunSpec {
+        label: format!("{a}:{b}"),
+        traces: vec![Box::new(lit_a), Box::new(lit_b)],
+        policy: Box::new(FairnessPolicy::new(2, fc)),
+        target: Some(f),
+        cfg,
+        trace: None,
+    };
+    let r = run_spec(spec, &singles).map_err(|e| e.to_string())?.run;
     println!();
     println!("replayed under fairness({}):", f.label());
-    for (i, s) in singles.iter().enumerate() {
-        let retired = m.stats().threads[i].retired;
-        let ipc = retired as f64 / cycles as f64;
+    for t in &r.threads {
         println!(
             "  {:<8} IPC_SOE {:.3}  speedup {:.3}  ({} instrs)",
-            s.name,
-            ipc,
-            ipc / s.ipc_st,
-            retired
+            t.name, t.ipc_soe, t.speedup, t.retired
         );
     }
-    println!(
-        "  {} switches over {} cycles",
-        m.stats().total_switches,
-        cycles
-    );
+    println!("  {} switches over {} cycles", r.total_switches, r.cycles);
     Ok(())
 }

@@ -40,3 +40,9 @@ pub use soe_model as model;
 pub use soe_sim as sim;
 pub use soe_stats as stats;
 pub use soe_workloads as workloads;
+
+/// Compiles (and, where not marked `no_run`, runs) the README's Rust
+/// examples as doctests, so they cannot drift from the API.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;

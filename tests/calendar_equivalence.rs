@@ -11,7 +11,10 @@
 //! `GOLDEN_PRINT=1 cargo test -p soe-repro --test calendar_equivalence -- --nocapture`
 //! and paste the printed values.
 
-use soe_core::runner::{try_run_pair, try_run_pair_traced, try_run_single, RunConfig};
+mod common;
+
+use common::{fairness_run, traced_run};
+use soe_core::runner::{try_run_single, RunConfig};
 use soe_model::FairnessLevel;
 use soe_workloads::pairs::paper_pairs;
 
@@ -45,8 +48,8 @@ fn pair_digest(pair: &soe_workloads::Pair) -> u64 {
     let sa = try_run_single(Box::new(a), &cfg).expect("single a");
     let sb = try_run_single(Box::new(b), &cfg).expect("single b");
     let singles = [sa, sb];
-    let f0 = try_run_pair(pair, FairnessLevel::NONE, &singles, &cfg).expect("f0");
-    let fh = try_run_pair(pair, FairnessLevel::HALF, &singles, &cfg).expect("f-half");
+    let f0 = fairness_run(pair, FairnessLevel::NONE, &singles, &cfg);
+    let fh = fairness_run(pair, FairnessLevel::HALF, &singles, &cfg);
     let mut bytes = Vec::new();
     for json in [
         serde_json::to_string(&singles[0]).expect("json"),
@@ -97,10 +100,9 @@ fn calendar_engine_trace_stream_matches_stepping_engine() {
             try_run_single(Box::new(a), &cfg).expect("single a"),
             try_run_single(Box::new(b), &cfg).expect("single b"),
         ];
-        let traced =
-            try_run_pair_traced(&pair, FairnessLevel::HALF, &singles, &cfg).expect("traced");
-        let stream = format!("{:?}", traced.trace.events);
-        let got = (traced.trace.events.len() as u64, fnv1a(stream.as_bytes()));
+        let (_, trace) = traced_run(&pair, FairnessLevel::HALF, &singles, &cfg);
+        let stream = format!("{:?}", trace.events);
+        let got = (trace.events.len() as u64, fnv1a(stream.as_bytes()));
         if std::env::var("GOLDEN_PRINT").is_ok() {
             println!(
                 "    (\"{}\", \"{}\", {}, {:#018x}),",

@@ -53,7 +53,7 @@ fn estimates_track_real_single_thread_ipc() {
         a: "lucas",
         b: "applu",
     };
-    let singles = run_singles(&pair, &cfg);
+    let singles = run_singles(&pair, &cfg).expect("references run");
     let est = estimates_for(&pair, FairnessLevel::HALF, &cfg);
 
     for (i, s) in singles.iter().enumerate() {
@@ -77,7 +77,7 @@ fn estimates_preserve_thread_ordering() {
     cfg.warmup_cycles = 500_000;
     cfg.measure_cycles = 1_200_000;
     let pair = Pair { a: "mcf", b: "eon" };
-    let singles = run_singles(&pair, &cfg);
+    let singles = run_singles(&pair, &cfg).expect("references run");
     assert!(singles[1].ipc_st > singles[0].ipc_st, "eon faster than mcf");
     let est = estimates_for(&pair, FairnessLevel::QUARTER, &cfg);
     assert!(

@@ -2,11 +2,11 @@
 //! measured event latency, pause hints, recorded-trace replay and the
 //! prefetcher ablation.
 
-use soe_core::runner::{run_pair_with_policy, run_singles, RunConfig};
-use soe_core::{FairnessConfig, FairnessPolicy, MissLatencyMode};
+use soe_core::runner::{run_singles, run_spec, RunConfig, RunSpec};
+use soe_core::{FairnessConfig, FairnessPolicy, MissLatencyMode, PairRun, SingleRun};
 use soe_model::weighted::{weighted_fairness, Weights};
 use soe_model::FairnessLevel;
-use soe_sim::{Machine, SwitchOnEvent, TraceSource};
+use soe_sim::{Machine, SwitchOnEvent, SwitchPolicy, TraceSource};
 use soe_workloads::{spec, LitFile, Pair, PauseOverlay, SyntheticTrace};
 
 fn cfg() -> RunConfig {
@@ -14,6 +14,18 @@ fn cfg() -> RunConfig {
     cfg.warmup_cycles = 400_000;
     cfg.measure_cycles = 1_200_000;
     cfg
+}
+
+/// Runs `pair` under `policy`, reported at fairness target `target`.
+fn policy_run(
+    pair: &Pair,
+    policy: Box<dyn SwitchPolicy>,
+    singles: &[SingleRun],
+    cfg: &RunConfig,
+    target: Option<FairnessLevel>,
+) -> PairRun {
+    let spec = RunSpec::roster(&[pair.a, pair.b], policy, target, *cfg).expect("valid roster");
+    run_spec(spec, singles).expect("pair run").run
 }
 
 #[test]
@@ -29,12 +41,12 @@ fn weighted_enforcement_biases_speedups_toward_the_heavy_thread() {
         b: "applu",
     };
     let cfg = cfg();
-    let singles = run_singles(&pair, &cfg);
+    let singles = run_singles(&pair, &cfg).expect("references run");
     let fairness = FairnessConfig {
         target: FairnessLevel::PERFECT,
         ..cfg.fairness
     };
-    let uniform = run_pair_with_policy(
+    let uniform = policy_run(
         &pair,
         Box::new(FairnessPolicy::new(2, fairness)),
         &singles,
@@ -42,7 +54,7 @@ fn weighted_enforcement_biases_speedups_toward_the_heavy_thread() {
         Some(FairnessLevel::PERFECT),
     );
     let weights = Weights::new(vec![2.0, 1.0]);
-    let weighted = run_pair_with_policy(
+    let weighted = policy_run(
         &pair,
         Box::new(FairnessPolicy::new(2, fairness).with_weights(weights.clone())),
         &singles,
@@ -71,14 +83,14 @@ fn measured_latency_mode_matches_fixed_mode_on_l2_miss_events() {
     // configured 300 cycles), measured mode must behave like fixed mode.
     let pair = Pair { a: "art", b: "eon" };
     let cfg = cfg();
-    let singles = run_singles(&pair, &cfg);
+    let singles = run_singles(&pair, &cfg).expect("references run");
     let run = |mode: MissLatencyMode| {
         let fairness = FairnessConfig {
             target: FairnessLevel::HALF,
             miss_lat_mode: mode,
             ..cfg.fairness
         };
-        run_pair_with_policy(
+        policy_run(
             &pair,
             Box::new(FairnessPolicy::new(2, fairness)),
             &singles,

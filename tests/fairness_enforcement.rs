@@ -1,7 +1,10 @@
 //! End-to-end: the paper's central claims, exercised through the full
 //! stack (workload generator → simulator → fairness mechanism → runner).
 
-use soe_core::runner::{run_pair, run_singles, RunConfig};
+mod common;
+
+use common::fairness_run;
+use soe_core::runner::{run_singles, RunConfig};
 use soe_model::FairnessLevel;
 use soe_workloads::Pair;
 
@@ -21,9 +24,9 @@ fn enforcement_recovers_a_starving_thread() {
         b: "eon",
     };
     let cfg = cfg();
-    let singles = run_singles(&pair, &cfg);
-    let f0 = run_pair(&pair, FairnessLevel::NONE, &singles, &cfg);
-    let f1 = run_pair(&pair, FairnessLevel::PERFECT, &singles, &cfg);
+    let singles = run_singles(&pair, &cfg).expect("references run");
+    let f0 = fairness_run(&pair, FairnessLevel::NONE, &singles, &cfg);
+    let f1 = fairness_run(&pair, FairnessLevel::PERFECT, &singles, &cfg);
 
     // Without enforcement, the streamer runs far below its solo speed
     // while the compute thread is barely touched.
@@ -54,10 +57,10 @@ fn enforcement_recovers_a_starving_thread() {
 fn fairness_and_forced_switches_scale_with_target() {
     let pair = Pair { a: "art", b: "eon" };
     let cfg = cfg();
-    let singles = run_singles(&pair, &cfg);
+    let singles = run_singles(&pair, &cfg).expect("references run");
     let runs: Vec<_> = FairnessLevel::paper_levels()
         .iter()
-        .map(|f| run_pair(&pair, *f, &singles, &cfg))
+        .map(|f| fairness_run(&pair, *f, &singles, &cfg))
         .collect();
 
     assert_eq!(runs[0].forced_switches, 0, "F=0 forces nothing");
@@ -92,9 +95,9 @@ fn same_benchmark_pair_is_fair_and_enforcement_is_cheap() {
         b: "applu",
     };
     let cfg = cfg();
-    let singles = run_singles(&pair, &cfg);
-    let f0 = run_pair(&pair, FairnessLevel::NONE, &singles, &cfg);
-    let fq = run_pair(&pair, FairnessLevel::QUARTER, &singles, &cfg);
+    let singles = run_singles(&pair, &cfg).expect("references run");
+    let f0 = fairness_run(&pair, FairnessLevel::NONE, &singles, &cfg);
+    let fq = fairness_run(&pair, FairnessLevel::QUARTER, &singles, &cfg);
     assert!(
         f0.fairness > 0.6,
         "identical threads should be roughly fair at F=0: {}",
@@ -119,8 +122,8 @@ fn soe_beats_single_thread_on_missy_pairs() {
         b: "swim",
     };
     let cfg = cfg();
-    let singles = run_singles(&pair, &cfg);
-    let f0 = run_pair(&pair, FairnessLevel::NONE, &singles, &cfg);
+    let singles = run_singles(&pair, &cfg).expect("references run");
+    let f0 = fairness_run(&pair, FairnessLevel::NONE, &singles, &cfg);
     assert!(
         f0.soe_speedup > 1.10,
         "two streaming threads should overlap stalls: speedup {}",
@@ -136,8 +139,8 @@ fn switch_latency_matches_paper() {
         b: "applu",
     };
     let cfg = cfg();
-    let singles = run_singles(&pair, &cfg);
-    let run = run_pair(&pair, FairnessLevel::HALF, &singles, &cfg);
+    let singles = run_singles(&pair, &cfg).expect("references run");
+    let run = fairness_run(&pair, FairnessLevel::HALF, &singles, &cfg);
     assert!(
         (15.0..=40.0).contains(&run.avg_switch_latency),
         "avg switch latency {}",

@@ -18,11 +18,14 @@
 //! squashed divide keeps the unpipelined divider busy while the next
 //! thread's divide waits for it.
 
+mod common;
+
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use common::traced_run;
 use proptest::prelude::*;
-use soe_core::runner::{try_run_pair_traced, try_run_single, RunConfig};
+use soe_core::runner::{try_run_single, RunConfig};
 use soe_core::FairnessPolicy;
 use soe_model::FairnessLevel;
 use soe_sim::obs::{SharedTracer, TraceConfig, Tracer};
@@ -42,7 +45,6 @@ fn cfg(measure_cycles: u64) -> RunConfig {
     cfg.fairness.delta = 12_000;
     cfg.fairness.max_cycles_quota = 5_000;
     cfg.fairness.min_quota_cycles = 300;
-    cfg.trace = Some(TraceConfig::default());
     cfg
 }
 
@@ -109,13 +111,13 @@ proptest! {
         let run = |ff: bool| {
             let mut c = base;
             c.machine.fast_forward = ff;
-            try_run_pair_traced(pair, f, &singles, &c).expect("pair run failed")
+            traced_run(pair, f, &singles, &c)
         };
-        let jump = run(true);
-        let tick = run(false);
-        prop_assert!(!tick.trace.events.is_empty(), "no events traced");
-        prop_assert_eq!(tick.run, jump.run);
-        prop_assert_eq!(tick.trace, jump.trace);
+        let (jump_run, jump_trace) = run(true);
+        let (tick_run, tick_trace) = run(false);
+        prop_assert!(!tick_trace.events.is_empty(), "no events traced");
+        prop_assert_eq!(tick_run, jump_run);
+        prop_assert_eq!(tick_trace, jump_trace);
     }
 
     /// Over random synthetic workloads and seeds: a machine driven
@@ -142,7 +144,7 @@ proptest! {
             mc.fast_forward = ff;
             let tracer: SharedTracer =
                 Rc::new(RefCell::new(Tracer::new(TraceConfig::default())));
-            let policy = FairnessPolicy::new(2, fcfg).with_tracer(Rc::clone(&tracer));
+            let policy = FairnessPolicy::new(2, fcfg);
             let a = SyntheticTrace::new(pa.clone(), 0x10_0000_0000, seed_a);
             let b = SyntheticTrace::new(pb.clone(), 0x20_0000_0000, seed_b);
             let mut m = Machine::new(mc, vec![Box::new(a), Box::new(b)], Box::new(policy));

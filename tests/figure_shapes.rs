@@ -2,7 +2,10 @@
 //! figure-level *shapes* the paper reports (the full-size numbers live in
 //! EXPERIMENTS.md; this test keeps them from silently regressing).
 
-use soe_core::runner::{run_pair, run_singles, RunConfig};
+mod common;
+
+use common::fairness_run;
+use soe_core::runner::{run_singles, RunConfig};
 use soe_model::FairnessLevel;
 use soe_workloads::Pair;
 
@@ -33,10 +36,10 @@ fn mini_matrix_reproduces_the_figure_shapes() {
 
     let mut all = Vec::new();
     for pair in &pairs {
-        let singles = run_singles(pair, &cfg);
+        let singles = run_singles(pair, &cfg).expect("references run");
         let runs: Vec<_> = levels
             .iter()
-            .map(|f| run_pair(pair, *f, &singles, &cfg))
+            .map(|f| fairness_run(pair, *f, &singles, &cfg))
             .collect();
         all.push(runs);
     }

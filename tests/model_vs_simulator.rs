@@ -3,7 +3,10 @@
 //! analytical model gives adequate approximation" — these tests pin that
 //! down with tolerance bands.
 
-use soe_core::runner::{run_pair, run_singles, RunConfig};
+mod common;
+
+use common::fairness_run;
+use soe_core::runner::{run_singles, RunConfig};
 use soe_model::{FairnessLevel, SoeModel, SystemParams, ThreadModel};
 use soe_workloads::Pair;
 
@@ -36,11 +39,11 @@ fn model_predicts_simulated_unfairness_direction_and_magnitude() {
         b: "swim",
     };
     let cfg = cfg();
-    let singles = run_singles(&pair, &cfg);
+    let singles = run_singles(&pair, &cfg).expect("references run");
     let model = model_of(&singles);
 
     let predicted = model.analyze(FairnessLevel::NONE);
-    let simulated = run_pair(&pair, FairnessLevel::NONE, &singles, &cfg);
+    let simulated = fairness_run(&pair, FairnessLevel::NONE, &singles, &cfg);
 
     // Which thread suffers must agree.
     let pred_slow = predicted.per_thread[0].speedup < predicted.per_thread[1].speedup;
@@ -68,11 +71,11 @@ fn model_predicts_simulated_throughput_within_band() {
         b: "applu",
     };
     let cfg = cfg();
-    let singles = run_singles(&pair, &cfg);
+    let singles = run_singles(&pair, &cfg).expect("references run");
     let model = model_of(&singles);
     for f in [FairnessLevel::NONE, FairnessLevel::PERFECT] {
         let predicted = model.analyze(f).throughput;
-        let simulated = run_pair(&pair, f, &singles, &cfg).throughput;
+        let simulated = fairness_run(&pair, f, &singles, &cfg).throughput;
         let ratio = simulated / predicted;
         assert!(
             (0.6..=1.4).contains(&ratio),
@@ -90,13 +93,13 @@ fn eq5_predicts_unenforced_fairness_from_cpm() {
     // pure workload property. Verify on a strongly asymmetric pair.
     let pair = Pair { a: "mcf", b: "eon" };
     let cfg = cfg();
-    let singles = run_singles(&pair, &cfg);
+    let singles = run_singles(&pair, &cfg).expect("references run");
     let model = model_of(&singles);
     let eq5 = {
         let cpms: Vec<f64> = model.threads().iter().map(|t| t.cpm() + 300.0).collect();
         (cpms[0] / cpms[1]).min(cpms[1] / cpms[0])
     };
-    let simulated = run_pair(&pair, FairnessLevel::NONE, &singles, &cfg).fairness;
+    let simulated = fairness_run(&pair, FairnessLevel::NONE, &singles, &cfg).fairness;
     assert!(
         simulated < 3.0 * eq5 + 0.1,
         "Eq 5 predicts {eq5:.3}; simulator measured {simulated:.3}"

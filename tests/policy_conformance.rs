@@ -11,14 +11,16 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use soe_core::obs::check_events;
-use soe_core::runner::{try_run_multi_named, try_run_multi_with_policy, RunConfig};
+use soe_core::runner::{run_spec, RunConfig, RunSpec};
 use soe_core::{
     FairnessConfig, FairnessPolicy, IslipPolicy, PolicyFactory, PolicySpec, SingleRun,
     UsageFairPolicy, WdrrPolicy,
 };
 use soe_model::FairnessLevel;
 use soe_sim::obs::{EventKind, SharedTracer, Trace, TraceConfig, Tracer};
-use soe_sim::{Machine, MachineConfig, MachineStats, SimError, SwitchReason, TraceSource};
+use soe_sim::{
+    Machine, MachineConfig, MachineStats, SimError, SwitchPolicy, SwitchReason, TraceSource,
+};
 use soe_workloads::pairs::group_traces;
 
 /// Eight-thread roster; every contract cell uses a prefix. Mixes
@@ -278,10 +280,13 @@ fn assert_contract(policy: &str, n: usize) {
     let singles = fake_singles(n);
     let factory = PolicyFactory::builtin();
     let names = &ROSTER[..n];
-    let a = try_run_multi_named(&factory, policy, names, f, &singles, &cfg)
-        .unwrap_or_else(|e| panic!("{policy}/{n}: runner failed: {e}"));
-    let b = try_run_multi_named(&factory, policy, names, f, &singles, &cfg)
-        .unwrap_or_else(|e| panic!("{policy}/{n}: runner failed: {e}"));
+    let run = || {
+        RunSpec::named(&factory, policy, names, f, &cfg)
+            .and_then(|spec| run_spec(spec, &singles))
+            .unwrap_or_else(|e| panic!("{policy}/{n}: runner failed: {e}"))
+            .run
+    };
+    let (a, b) = (run(), run());
     assert_eq!(
         serde_json::to_string(&a).expect("serialize"),
         serde_json::to_string(&b).expect("serialize"),
@@ -391,7 +396,9 @@ fn zoo_results_identical_at_any_worker_count() {
         let singles = singles.clone();
         let results = run_jobs(jobs, workers, move |p| {
             let factory = PolicyFactory::builtin();
-            try_run_multi_named(&factory, p, &ROSTER[..n], f, &singles, &cfg)
+            RunSpec::named(&factory, p, &ROSTER[..n], f, &cfg)
+                .and_then(|spec| run_spec(spec, &singles))
+                .map(|out| out.run)
                 .map_err(|e| e.to_string())
         });
         let runs: Vec<_> = results
@@ -407,106 +414,59 @@ fn zoo_results_identical_at_any_worker_count() {
 // Typed-error paths of the multi-thread runner and the registry.
 // ---------------------------------------------------------------------
 
+/// The paper's mechanism for a 2-thread roster.
+fn fairness_policy() -> Box<dyn SwitchPolicy> {
+    PolicyFactory::builtin()
+        .build("fairness", &spec(2, FairnessLevel::HALF))
+        .expect("builds")
+}
+
+/// `spec` must fail, before running, with an `InvalidConfig` whose
+/// message names every string in `wanted`.
+fn expect_invalid(spec: Result<RunSpec, SimError>, singles: &[SingleRun], wanted: &[&str]) {
+    match spec.and_then(|s| run_spec(s, singles)) {
+        Err(SimError::InvalidConfig(msg)) => {
+            for w in wanted {
+                assert!(msg.contains(w), "unhelpful message: {msg}");
+            }
+        }
+        Err(other) => panic!("expected InvalidConfig, got {other}"),
+        Ok(_) => panic!("an invalid run must not run"),
+    }
+}
+
 #[test]
 fn singles_length_mismatch_is_a_typed_error() {
     let cfg = contract_run_config(2, FairnessLevel::HALF);
-    let singles = fake_singles(1); // 1 reference for a 2-thread roster
-    let policy = PolicyFactory::builtin()
-        .build("fairness", &spec(2, FairnessLevel::HALF))
-        .expect("builds");
-    let err = match try_run_multi_with_policy(
+    let spec = RunSpec::roster(
         &ROSTER[..2],
-        policy,
+        fairness_policy(),
         Some(FairnessLevel::HALF),
-        &singles,
-        &cfg,
-    ) {
-        Err(e) => e,
-        Ok(_) => panic!("mismatched singles must not run"),
-    };
-    match err {
-        SimError::InvalidConfig(msg) => {
-            assert!(
-                msg.contains("1 single-thread reference(s) for a 2-thread roster"),
-                "unhelpful message: {msg}"
-            );
-        }
-        other => panic!("expected InvalidConfig, got {other}"),
-    }
+        cfg,
+    );
+    // 1 reference for a 2-thread roster
+    let wanted = "1 single-thread reference(s) for a 2-thread roster";
+    expect_invalid(spec, &fake_singles(1), &[wanted]);
 }
 
 #[test]
 fn zero_thread_roster_is_a_typed_error_not_a_panic() {
     let cfg = contract_run_config(2, FairnessLevel::HALF);
-    let policy = PolicyFactory::builtin()
-        .build("fairness", &spec(2, FairnessLevel::HALF))
-        .expect("builds");
-    let err = match try_run_multi_with_policy(&[], policy, None, &[], &cfg) {
-        Err(e) => e,
-        Ok(_) => panic!("an empty roster must not run"),
-    };
-    match err {
-        SimError::InvalidConfig(msg) => {
-            assert!(
-                msg.contains("at least one thread"),
-                "unhelpful message: {msg}"
-            );
-        }
-        other => panic!("expected InvalidConfig, got {other}"),
-    }
+    let spec = RunSpec::roster(&[], fairness_policy(), None, cfg);
+    expect_invalid(spec, &[], &["at least one thread"]);
 }
 
 #[test]
 fn unknown_benchmark_in_roster_is_a_typed_error() {
     let cfg = contract_run_config(2, FairnessLevel::HALF);
-    let singles = fake_singles(2);
-    let policy = PolicyFactory::builtin()
-        .build("fairness", &spec(2, FairnessLevel::HALF))
-        .expect("builds");
-    let err = match try_run_multi_with_policy(
-        &["swim", "no-such-benchmark"],
-        policy,
-        None,
-        &singles,
-        &cfg,
-    ) {
-        Err(e) => e,
-        Ok(_) => panic!("an unknown benchmark must not run"),
-    };
-    match err {
-        SimError::InvalidConfig(msg) => {
-            assert!(
-                msg.contains("no-such-benchmark"),
-                "unhelpful message: {msg}"
-            );
-        }
-        other => panic!("expected InvalidConfig, got {other}"),
-    }
+    let spec = RunSpec::roster(&["swim", "no-such-benchmark"], fairness_policy(), None, cfg);
+    expect_invalid(spec, &fake_singles(2), &["no-such-benchmark"]);
 }
 
 #[test]
 fn unknown_policy_through_the_runner_is_a_typed_error() {
     let cfg = contract_run_config(2, FairnessLevel::HALF);
-    let singles = fake_singles(2);
     let factory = PolicyFactory::builtin();
-    let err = match try_run_multi_named(
-        &factory,
-        "lottery",
-        &ROSTER[..2],
-        FairnessLevel::HALF,
-        &singles,
-        &cfg,
-    ) {
-        Err(e) => e,
-        Ok(_) => panic!("an unknown policy must not run"),
-    };
-    match err {
-        SimError::InvalidConfig(msg) => {
-            assert!(
-                msg.contains("lottery") && msg.contains("registered"),
-                "unhelpful message: {msg}"
-            );
-        }
-        other => panic!("expected InvalidConfig, got {other}"),
-    }
+    let spec = RunSpec::named(&factory, "lottery", &ROSTER[..2], FairnessLevel::HALF, &cfg);
+    expect_invalid(spec, &fake_singles(2), &["lottery", "registered"]);
 }

@@ -3,7 +3,7 @@
 //! never wedges, and its counters stay mutually consistent.
 
 use proptest::prelude::*;
-use soe_core::runner::{try_run_traces_with_policy, RunConfig};
+use soe_core::runner::{run_spec, RunConfig, RunSpec};
 use soe_core::{PolicyFactory, PolicySpec, SingleRun};
 use soe_model::FairnessLevel;
 use soe_sim::{Machine, MachineConfig, NeverSwitch, SwitchOnEvent, TraceSource};
@@ -166,15 +166,17 @@ fn run_zoo(policy: &str, profiles: &[Profile], f: FairnessLevel) -> soe_core::Pa
             )) as Box<dyn TraceSource>
         })
         .collect();
-    try_run_traces_with_policy(
-        format!("prop/{policy}/{n}way"),
+    let spec = RunSpec {
+        label: format!("prop/{policy}/{n}way"),
         traces,
-        built,
-        Some(f),
-        &fake_singles(n),
-        &cfg,
-    )
-    .unwrap_or_else(|e| panic!("{policy}/{n}: runner failed: {e}"))
+        policy: built,
+        target: Some(f),
+        cfg,
+        trace: None,
+    };
+    run_spec(spec, &fake_singles(n))
+        .unwrap_or_else(|e| panic!("{policy}/{n}: runner failed: {e}"))
+        .run
 }
 
 proptest! {

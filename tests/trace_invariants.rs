@@ -11,13 +11,16 @@
 //!   equal the untraced run's);
 //! * the checker itself rejects corrupted streams (self-check).
 
+mod common;
+
+use common::traced_run;
 use proptest::prelude::*;
 use soe_core::obs::{check_events, check_jsonl, trace_jsonl};
 use soe_core::pool::{run_jobs, Job};
-use soe_core::runner::{try_run_pair, try_run_pair_traced, RunConfig, TracedPairRun};
-use soe_core::SingleRun;
+use soe_core::runner::{run_spec, RunConfig, RunSpec};
+use soe_core::{PolicyFactory, SingleRun};
 use soe_model::FairnessLevel;
-use soe_sim::obs::{EventKind, TraceConfig, Tracer};
+use soe_sim::obs::{EventKind, Trace, TraceConfig, Tracer};
 use soe_sim::ThreadId;
 use soe_workloads::Pair;
 
@@ -29,10 +32,10 @@ fn cfg() -> RunConfig {
     cfg
 }
 
-/// Synthetic single-thread references: the traced pair run only uses
-/// them as IPC denominators, which no trace invariant depends on.
-fn fake_singles(pair: &Pair) -> Vec<SingleRun> {
-    [pair.a, pair.b]
+/// Synthetic single-thread references: the traced runs only use them
+/// as IPC denominators, which no trace invariant depends on.
+fn fake_singles(names: &[&str]) -> Vec<SingleRun> {
+    names
         .iter()
         .map(|n| SingleRun {
             name: n.to_string(),
@@ -45,20 +48,20 @@ fn fake_singles(pair: &Pair) -> Vec<SingleRun> {
         .collect()
 }
 
-fn capture(f: FairnessLevel) -> TracedPairRun {
+fn capture(f: FairnessLevel) -> Trace {
     let pair = Pair {
         a: "swim",
         b: "eon",
     };
-    try_run_pair_traced(&pair, f, &fake_singles(&pair), &cfg()).expect("traced run succeeds")
+    traced_run(&pair, f, &fake_singles(&[pair.a, pair.b]), &cfg()).1
 }
 
 #[test]
 fn captured_trace_satisfies_every_stream_invariant() {
     let traced = capture(FairnessLevel::HALF);
-    assert!(!traced.trace.events.is_empty(), "the run must emit events");
-    assert_eq!(traced.trace.dropped, 0, "default capacity must suffice");
-    let summary = check_events(&traced.trace).expect("invariants hold");
+    assert!(!traced.events.is_empty(), "the run must emit events");
+    assert_eq!(traced.dropped, 0, "default capacity must suffice");
+    let summary = check_events(&traced).expect("invariants hold");
     // The run actually exercised the instrumented paths.
     for kind in [
         "switch_in",
@@ -81,7 +84,7 @@ fn cycles_are_monotone_and_switches_alternate() {
     let mut prev = 0;
     // Last switch direction per thread: true = in.
     let mut state = [None::<bool>; 2];
-    for e in &traced.trace.events {
+    for e in &traced.events {
         assert!(e.at >= prev, "cycle order: {} after {prev}", e.at);
         prev = e.at;
         let (tid, is_in) = match e.kind {
@@ -103,10 +106,10 @@ fn cycles_are_monotone_and_switches_alternate() {
 #[test]
 fn every_l2_miss_is_paired_with_a_fill() {
     let traced = capture(FairnessLevel::HALF);
-    assert_eq!(traced.trace.dropped, 0);
+    assert_eq!(traced.dropped, 0);
     let mut outstanding = std::collections::BTreeMap::<u64, i64>::new();
     let (mut misses, mut fills) = (0u64, 0u64);
-    for e in &traced.trace.events {
+    for e in &traced.events {
         match e.kind {
             EventKind::L2Miss { line } => {
                 misses += 1;
@@ -129,8 +132,8 @@ fn every_l2_miss_is_paired_with_a_fill() {
 #[test]
 fn two_identical_runs_produce_byte_identical_traces() {
     let names = ["swim", "eon"];
-    let a = trace_jsonl(&capture(FairnessLevel::HALF).trace, &names);
-    let b = trace_jsonl(&capture(FairnessLevel::HALF).trace, &names);
+    let a = trace_jsonl(&capture(FairnessLevel::HALF), &names);
+    let b = trace_jsonl(&capture(FairnessLevel::HALF), &names);
     assert!(a == b, "identical runs must serialize identically");
 }
 
@@ -144,7 +147,7 @@ fn traces_are_byte_identical_across_worker_counts() {
             Job::new("trace-quarter", FairnessLevel::QUARTER),
         ]
     };
-    let serialize = |f: &FairnessLevel| trace_jsonl(&capture(*f).trace, &["swim", "eon"]);
+    let serialize = |f: &FairnessLevel| trace_jsonl(&capture(*f), &["swim", "eon"]);
     let serial = run_jobs(capture_jobs(), 1, serialize);
     let pooled = run_jobs(capture_jobs(), 2, serialize);
     assert_eq!(serial.len(), pooled.len());
@@ -153,25 +156,47 @@ fn traces_are_byte_identical_across_worker_counts() {
     }
 }
 
+/// Over every registered discipline at 2 and 4 threads: the traced
+/// run reports exactly the untraced run's metrics, and its trace passes
+/// every stream invariant.
 #[test]
 fn tracing_does_not_perturb_the_simulation() {
-    let pair = Pair {
-        a: "swim",
-        b: "eon",
-    };
-    let singles = fake_singles(&pair);
-    let cfg = cfg();
-    let traced = try_run_pair_traced(&pair, FairnessLevel::HALF, &singles, &cfg)
-        .expect("traced run succeeds");
-    let untraced =
-        try_run_pair(&pair, FairnessLevel::HALF, &singles, &cfg).expect("untraced run succeeds");
-    assert_eq!(traced.run, untraced, "tracing must be observation-only");
+    let factory = PolicyFactory::builtin();
+    let roster = ["swim", "eon", "art", "gcc"];
+    for policy in factory.names() {
+        for names in [&roster[..2], &roster[..]] {
+            let n = names.len();
+            let mut cfg = cfg();
+            // Every thread must fit in each Δ window.
+            cfg.fairness.max_cycles_quota = cfg
+                .fairness
+                .max_cycles_quota
+                .min(cfg.fairness.delta / n as u64);
+            let run = |trace| {
+                let mut spec = RunSpec::named(&factory, &policy, names, FairnessLevel::HALF, &cfg)
+                    .unwrap_or_else(|e| panic!("{policy}/{n}: {e}"));
+                spec.trace = trace;
+                run_spec(spec, &fake_singles(names)).unwrap_or_else(|e| panic!("{policy}/{n}: {e}"))
+            };
+            let (traced, untraced) = (run(Some(TraceConfig::default())), run(None));
+            assert!(
+                untraced.trace.is_none(),
+                "{policy}/{n}: untraced run traced"
+            );
+            assert_eq!(
+                traced.run, untraced.run,
+                "{policy}/{n}: tracing must be observation-only"
+            );
+            let trace = traced.trace.expect("a traced run records its trace");
+            check_events(&trace).unwrap_or_else(|e| panic!("{policy}/{n}: {e}"));
+        }
+    }
 }
 
 #[test]
 fn checker_rejects_a_corrupted_real_trace() {
     let traced = capture(FairnessLevel::HALF);
-    let good = trace_jsonl(&traced.trace, &["swim", "eon"]);
+    let good = trace_jsonl(&traced, &["swim", "eon"]);
     check_jsonl(&good).expect("the capture itself validates");
     // Swap the first and last event lines: same events, same counts,
     // but the cycle order breaks.

@@ -7,10 +7,13 @@
 //! deficit mechanism are part of enforcement; with F = 0 the machine is
 //! plain event-only SOE and forces nothing).
 
-use soe_core::runner::{try_run_pair_traced, RunConfig, TracedPairRun};
+mod common;
+
+use common::traced_run;
+use soe_core::runner::RunConfig;
 use soe_core::SingleRun;
 use soe_model::FairnessLevel;
-use soe_sim::obs::EventKind;
+use soe_sim::obs::{EventKind, Trace};
 use soe_workloads::Pair;
 
 const DELTA: u64 = 100_000;
@@ -43,12 +46,12 @@ fn fake_singles(pair: &Pair) -> Vec<SingleRun> {
         .collect()
 }
 
-fn capture(f: FairnessLevel) -> TracedPairRun {
+fn capture(f: FairnessLevel) -> Trace {
     let pair = Pair {
         a: "swim",
         b: "eon",
     };
-    try_run_pair_traced(&pair, f, &fake_singles(&pair), &cfg()).expect("traced run succeeds")
+    traced_run(&pair, f, &fake_singles(&pair), &cfg()).1
 }
 
 #[test]
@@ -66,9 +69,8 @@ fn paper_parameters_guarantee_window_coverage() {
 #[test]
 fn every_thread_is_scheduled_in_every_delta_window() {
     let traced = capture(FairnessLevel::QUARTER);
-    let first = traced.trace.events.first().expect("events").at;
+    let first = traced.events.first().expect("events").at;
     let last_in = traced
-        .trace
         .events
         .iter()
         .filter(|e| matches!(e.kind, EventKind::SwitchIn { .. }))
@@ -81,7 +83,7 @@ fn every_thread_is_scheduled_in_every_delta_window() {
     let hi = last_in / DELTA;
     assert!(hi > lo + 4, "the run must span several full windows");
     let mut seen = vec![[false; 2]; (hi - lo) as usize];
-    for e in &traced.trace.events {
+    for e in &traced.events {
         if let EventKind::SwitchIn { tid } = e.kind {
             let w = e.at / DELTA;
             if w >= lo && w < hi {
@@ -106,7 +108,6 @@ fn estimator_updates_fire_once_per_delta_window() {
     // One update per thread per recalculation, both stamped on the same
     // cycle: collect the distinct recalculation cycles.
     let mut recalcs: Vec<u64> = traced
-        .trace
         .events
         .iter()
         .filter(|e| matches!(e.kind, EventKind::EstimatorUpdate { .. }))
@@ -141,7 +142,7 @@ fn occupancy_never_exceeds_the_cycle_quota() {
     const SLACK: u64 = 2_000;
     let mut open = [None::<u64>; 2];
     let mut longest = 0;
-    for e in &traced.trace.events {
+    for e in &traced.events {
         match e.kind {
             EventKind::SwitchIn { tid } => open[tid.index()] = Some(e.at),
             EventKind::SwitchOut { tid, .. } => {
@@ -164,7 +165,7 @@ fn occupancy_never_exceeds_the_cycle_quota() {
 #[test]
 fn quota_expiries_are_followed_by_forced_switch_outs() {
     let traced = capture(FairnessLevel::QUARTER);
-    let events = &traced.trace.events;
+    let events = &traced.events;
     let expiries = events
         .iter()
         .filter(|e| matches!(e.kind, EventKind::CycleQuotaExpiry { .. }))
@@ -200,7 +201,7 @@ fn deficit_balances_respect_the_configured_cap() {
     let traced = capture(FairnessLevel::HALF);
     let cap = cfg().fairness.deficit_cap;
     let mut grants = 0;
-    for e in &traced.trace.events {
+    for e in &traced.events {
         if let EventKind::DeficitGrant {
             tid,
             credited,
