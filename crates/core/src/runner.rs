@@ -159,10 +159,7 @@ impl RunSpec {
             ..cfg.fairness
         };
         let spec = PolicySpec::new(names.len(), f, fairness);
-        // Qualified, so soe-lint's call graph links only the registry's
-        // `build` into the run path.
-        let built = PolicyFactory::build(factory, policy, &spec)?;
-        Self::roster(names, built, Some(f), *cfg)
+        Self::roster(names, factory.build(policy, &spec)?, Some(f), *cfg)
     }
 }
 

@@ -38,7 +38,6 @@ use std::time::{Duration, Instant};
 
 use serde::Value;
 use soe_model::FairnessLevel;
-use soe_workloads::Checkpoint;
 
 use crate::metrics::SingleRun;
 use crate::policy::TimeSlicePolicy;
@@ -789,9 +788,9 @@ pub fn run_scenario(sc: &Scenario) -> Result<String, String> {
 pub fn memo_key(sc: &Scenario) -> String {
     let names: Vec<&str> = sc.roster.iter().map(String::as_str).collect();
     let mut ident = serde_json::to_string(sc).unwrap_or_default();
-    for trace in soe_workloads::pairs::group_traces(&names) {
+    for checkpoint in soe_workloads::pairs::group_checkpoints(&names) {
         ident.push('|');
-        ident.push_str(&Checkpoint::capture(&trace, 0).memo_key());
+        ident.push_str(&checkpoint.memo_key());
     }
     format!("{}-{:016x}", sc.roster.join("+"), fnv1a64(ident.as_bytes()))
 }
@@ -799,6 +798,34 @@ pub fn memo_key(sc: &Scenario) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn memo_key_matches_keys_from_built_traces() {
+        // The key from the group's checkpoints must equal the key from
+        // checkpoints captured off the built traces, byte for byte.
+        for roster in [
+            &["gcc", "eon"][..],
+            &["swim", "swim"],
+            &["mcf", "gcc", "mcf", "mcf"],
+            &["art", "apsi", "lucas", "art", "wupwise", "apsi"],
+        ] {
+            let sc = Scenario {
+                roster: roster.iter().map(ToString::to_string).collect(),
+                policy: "fairness".to_string(),
+                f: 0.5,
+                timeslice_cycles: 0,
+                warmup_cycles: 10_000,
+                measure_cycles: 20_000,
+            };
+            let mut ident = serde_json::to_string(&sc).unwrap_or_default();
+            for trace in soe_workloads::pairs::group_traces(roster) {
+                ident.push('|');
+                ident.push_str(&soe_workloads::Checkpoint::capture(&trace, 0).memo_key());
+            }
+            let built = format!("{}-{:016x}", sc.roster.join("+"), fnv1a64(ident.as_bytes()));
+            assert_eq!(memo_key(&sc), built, "roster {roster:?}");
+        }
+    }
 
     #[test]
     fn run_scenario_rejects_what_the_request_check_rejects() {

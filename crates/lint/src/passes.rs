@@ -842,6 +842,33 @@ mod tests {
     }
 
     #[test]
+    fn detached_package_fns_are_never_workspace_callees() {
+        // A hot-path `.build(` beside a panicking `build` in the
+        // benchmark's own package: no workspace fn can call it.
+        let hot = (
+            "crates/core/src/runner.rs",
+            "fn run_spec(f: &F) { f.build(); }\nfn run_scenario() { }\nfn serve() { }",
+        );
+        let panicking = "impl TraceSpec { fn build(&self) -> u32 { self.n.expect(\"n\") } }\n\
+                         fn main_loop(s: &TraceSpec) { s.build(); }";
+        let mut files = scaffold();
+        files[1] = hot;
+        files.push(("perfbench/src/sim.rs", panicking));
+        let w = ws(&files);
+        assert!(run(&w, "panic-reachability").is_empty());
+        // Inside the package the call still resolves.
+        let main_loop = w.lookup("main_loop")[0];
+        let build = w.lookup("TraceSpec::build")[0];
+        assert!(w.callees[main_loop].iter().any(|e| e.to == build));
+        // The same fn in a workspace crate is reported.
+        let mut files = scaffold();
+        files[1] = hot;
+        files.push(("crates/stats/src/sim.rs", panicking));
+        let fs = run(&ws(&files), "panic-reachability");
+        assert_eq!(fs.len(), 1, "{fs:?}");
+    }
+
+    #[test]
     fn taint_flows_from_source_through_caller_into_sink() {
         let mut files = scaffold();
         files.push((

@@ -18,6 +18,10 @@
 //! - `name(…)` — every *free* fn named `name`.
 //! - `receiver.name(…)` — every impl fn named `name` that takes `self`.
 //!
+//! A fn in a [`DETACHED_PACKAGES`] directory is a callee only of fns in
+//! the same directory: such a package depends on the workspace crates,
+//! never the other way round, so no workspace fn can call into it.
+//!
 //! The guarantee is one-sided: a call edge that exists in the compiled
 //! program also exists here (no false negatives from resolution), at
 //! the cost of extra edges when names collide. Reachability passes
@@ -32,6 +36,18 @@ use std::collections::BTreeMap;
 
 use crate::items::{parse_items, EnumItem, FnItem, ParsedItems, StructItem};
 use crate::source::SourceFile;
+
+/// Top-level directories holding a Cargo package of its own (with its
+/// own `[workspace]` table) that no workspace crate depends on. Their
+/// fns are linted and may call workspace fns, but never resolve as
+/// callees of fns outside their own directory.
+pub const DETACHED_PACKAGES: &[&str] = &["perfbench"];
+
+/// The [`DETACHED_PACKAGES`] entry a workspace-relative path lies in.
+fn detached_package(path: &str) -> Option<&str> {
+    let (top, _) = path.split_once('/')?;
+    DETACHED_PACKAGES.iter().copied().find(|&p| p == top)
+}
 
 /// One analyzed file: its source and the non-`fn` items parsed from it.
 #[derive(Debug)]
@@ -123,10 +139,12 @@ impl Workspace {
 
         let mut callees: Vec<Vec<Edge>> = vec![Vec::new(); fns.len()];
         let mut callers: Vec<Vec<Edge>> = vec![Vec::new(); fns.len()];
+        let package = |f: &FnNode| detached_package(&files[f.file].source.path);
         for (i, node) in fns.iter().enumerate() {
             for call in &node.item.calls {
                 for &target in resolve_call(&by_name, &by_owner, &fns, call).iter() {
-                    if callees[i].iter().all(|e| e.to != target) {
+                    let foreign = package(&fns[target]).is_some_and(|p| package(node) != Some(p));
+                    if !foreign && callees[i].iter().all(|e| e.to != target) {
                         callees[i].push(Edge {
                             to: target,
                             line: call.line,

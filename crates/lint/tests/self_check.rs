@@ -125,6 +125,27 @@ fn every_hot_path_root_and_sink_resolves() {
 }
 
 #[test]
+fn detached_packages_are_the_standalone_cargo_packages() {
+    // The call graph cuts edges into DETACHED_PACKAGES; the list must
+    // name exactly the top-level directories whose Cargo.toml opens a
+    // workspace of its own.
+    let root = workspace_root();
+    let mut standalone: Vec<String> = std::fs::read_dir(&root)
+        .expect("read workspace root")
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .filter(|dir| {
+            std::fs::read_to_string(dir.join("Cargo.toml"))
+                .is_ok_and(|toml| toml.lines().any(|l| l.trim() == "[workspace]"))
+        })
+        .filter_map(|dir| dir.file_name()?.to_str().map(str::to_string))
+        .collect();
+    standalone.sort();
+    let mut listed: Vec<&str> = soe_lint::workspace::DETACHED_PACKAGES.to_vec();
+    listed.sort_unstable();
+    assert_eq!(standalone, listed);
+}
+
+#[test]
 fn call_graph_covers_the_simulator_hot_path() {
     // A second guard against silent decay: the roots must actually reach
     // a healthy slice of the workspace. An empty reachable set would mean

@@ -59,17 +59,26 @@ pub fn geometric(seed: u64, index: u64, salt: u64, mean: f64) -> u64 {
 ///
 /// The closed form is monotone nondecreasing in the 53-bit uniform
 /// sample, so it is fully described by the 255 sample thresholds at
-/// which the output steps from `k` to `k + 1`. [`GeometricTable::sample`]
-/// recovers the output with a binary search over those thresholds —
-/// bit-exact with the closed form for *every* possible sample (the
-/// thresholds are found by binary search on the closed form itself),
+/// which the output steps from `k` to `k + 1`. Each threshold is found
+/// exactly by searching the closed form itself, seeded by its analytic
+/// inverse; [`GeometricTable::sample`] recovers the output by scanning
+/// forward from a guide entry (Chen & Asau's indexed search). Both are
+/// bit-exact with the closed form for *every* possible sample,
 /// replacing an `ln` per dependency draw with a few table probes.
 #[derive(Clone)]
 pub struct GeometricTable {
     /// `thresholds[k]` = smallest sample whose output is `>= k + 2`
     /// (`SAMPLE_LIMIT` when that output is never reached).
     thresholds: [u64; 255],
+    /// `guide[b]` = how many thresholds lie at or below the first
+    /// sample of bucket `b`, the samples whose top [`GUIDE_BITS`] bits
+    /// equal `b`.
+    guide: [u8; 1 << GUIDE_BITS],
 }
+
+/// The sample bits that index [`GeometricTable::guide`].
+const GUIDE_BITS: u32 = 8;
+const GUIDE_SHIFT: u32 = SAMPLE_BITS - GUIDE_BITS;
 
 impl std::fmt::Debug for GeometricTable {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -87,6 +96,7 @@ impl GeometricTable {
         assert!(mean >= 1.0, "geometric mean must be at least 1");
         let mut thresholds = [SAMPLE_LIMIT; 255];
         let top = geometric_from_sample(SAMPLE_LIMIT - 1, mean);
+        let mut floor = 0;
         for (k, slot) in thresholds.iter_mut().enumerate() {
             let target = k as u64 + 2;
             if top < target {
@@ -94,20 +104,17 @@ impl GeometricTable {
                 // thresholds stay at the never-reached sentinel.
                 break;
             }
-            // First sample in [0, SAMPLE_LIMIT) whose output reaches
-            // `target`; valid because the closed form is monotone.
-            let (mut lo, mut hi) = (0u64, SAMPLE_LIMIT - 1);
-            while lo < hi {
-                let mid = lo + (hi - lo) / 2;
-                if geometric_from_sample(mid, mean) >= target {
-                    hi = mid;
-                } else {
-                    lo = mid + 1;
-                }
-            }
-            *slot = lo;
+            // The closed form rounds `1 - ln(1 - u)(mean - 1)`, which
+            // reaches `target` once it passes `target - 0.5`.
+            let u = -(-(target as f64 - 1.5) / (mean - 1.0)).exp_m1();
+            let guess = (u * SAMPLE_LIMIT as f64) as u64;
+            floor = first_reaching(target, mean, floor, guess);
+            *slot = floor;
         }
-        Self { thresholds }
+        let guide = std::array::from_fn(|b| {
+            thresholds.partition_point(|&t| t <= (b as u64) << GUIDE_SHIFT) as u8
+        });
+        Self { thresholds, guide }
     }
 
     /// The table-driven equivalent of [`geometric`]: pass the same
@@ -115,8 +122,59 @@ impl GeometricTable {
     #[inline]
     pub fn sample(&self, mixed: u64) -> u64 {
         let sample = mixed >> 11;
-        1 + self.thresholds.partition_point(|&t| t <= sample) as u64
+        // Every threshold the guide counts lies at or below the first
+        // sample of `sample`'s bucket, so the scan starts exact.
+        let bucket = usize::from((sample >> GUIDE_SHIFT) as u8);
+        let start = usize::from(self.guide.get(bucket).copied().unwrap_or(0));
+        let above = self.thresholds.get(start..).unwrap_or_default();
+        1 + (start + above.iter().take_while(|&&t| t <= sample).count()) as u64
     }
+}
+
+/// The first sample whose closed-form output reaches `target`, given
+/// that the last sample reaches it and no sample below `floor` does.
+///
+/// Gallops from `guess` until `[lo, hi]` brackets the answer, then
+/// bisects. The closed form is monotone, so the result is exact
+/// however far off `guess` is; a good guess costs two evaluations.
+fn first_reaching(target: u64, mean: f64, floor: u64, guess: u64) -> u64 {
+    let reaches = |s: u64| geometric_from_sample(s, mean) >= target;
+    let guess = guess.clamp(floor, SAMPLE_LIMIT - 1);
+    // Invariant: `hi` reaches `target` and no sample below `lo` does.
+    let (mut lo, mut hi) = (floor, SAMPLE_LIMIT - 1);
+    let mut step = 1;
+    if reaches(guess) {
+        hi = guess;
+        while hi - lo >= step {
+            let probe = hi - step;
+            if !reaches(probe) {
+                lo = probe + 1;
+                break;
+            }
+            hi = probe;
+            step *= 2;
+        }
+    } else {
+        lo = guess + 1;
+        while hi - lo >= step {
+            let probe = lo - 1 + step;
+            if reaches(probe) {
+                hi = probe;
+                break;
+            }
+            lo = probe + 1;
+            step *= 2;
+        }
+    }
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if reaches(mid) {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    lo
 }
 
 #[cfg(test)]
@@ -207,6 +265,74 @@ mod tests {
             // Domain endpoints.
             for s in [0, SAMPLE_LIMIT - 1] {
                 assert_eq!(table.sample(s << 11), geometric_from_sample(s, mean));
+            }
+        }
+    }
+
+    /// The reference builder: bisects the closed form over the whole
+    /// sample domain for every threshold (53 `ln`s each).
+    fn bisection_thresholds(mean: f64) -> [u64; 255] {
+        let mut thresholds = [SAMPLE_LIMIT; 255];
+        let top = geometric_from_sample(SAMPLE_LIMIT - 1, mean);
+        for (k, slot) in thresholds.iter_mut().enumerate() {
+            let target = k as u64 + 2;
+            if top < target {
+                break;
+            }
+            let (mut lo, mut hi) = (0u64, SAMPLE_LIMIT - 1);
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                if geometric_from_sample(mid, mean) >= target {
+                    hi = mid;
+                } else {
+                    lo = mid + 1;
+                }
+            }
+            *slot = lo;
+        }
+        thresholds
+    }
+
+    /// Every mean the generator builds a table for, 200 seeded means in
+    /// `[1, 41]`, and the edges of the domain.
+    fn oracle_means() -> Vec<f64> {
+        let mut means = Vec::new();
+        for name in crate::spec::NAMES {
+            let p = crate::spec::profile(name).expect("listed profile");
+            means.push(p.mean_dep_dist.max(1.0));
+            for ph in &p.phases {
+                means.push((p.mean_dep_dist * ph.ilp_scale).max(1.0));
+            }
+        }
+        means.extend((0..200).map(|i| 1.0 + 40.0 * unit(23, i, 9)));
+        means.extend([1.0, 1.0 + 1e-7, 300.0, 1e6]);
+        means
+    }
+
+    #[test]
+    fn thresholds_match_the_bisection_reference() {
+        for mean in oracle_means() {
+            assert_eq!(
+                GeometricTable::new(mean).thresholds,
+                bisection_thresholds(mean),
+                "mean {mean}"
+            );
+        }
+    }
+
+    #[test]
+    fn guided_sample_matches_partition_point() {
+        for mean in oracle_means() {
+            let table = GeometricTable::new(mean);
+            let buckets = (0..1u64 << GUIDE_BITS).map(|b| b << GUIDE_SHIFT);
+            for edge in table.thresholds.iter().copied().chain(buckets) {
+                for s in [edge.saturating_sub(1), edge, edge + 1] {
+                    if s >= SAMPLE_LIMIT {
+                        continue;
+                    }
+                    let expected = 1 + table.thresholds.partition_point(|&t| t <= s) as u64;
+                    assert_eq!(table.sample(s << 11), expected, "mean {mean} sample {s}");
+                }
             }
         }
     }

@@ -3,6 +3,7 @@
 
 use soe_sim::{Addr, TraceSource};
 
+use crate::checkpoint::Checkpoint;
 use crate::gen::SyntheticTrace;
 use crate::spec;
 
@@ -58,15 +59,18 @@ impl Pair {
     }
 }
 
-/// Builds trace sources for an arbitrary N-thread group: each thread gets
-/// its own address space, and the k-th duplicate of a benchmark is offset
-/// by `k × SAME_BENCH_OFFSET` instructions (generalizing the paper's
-/// two-thread offset rule).
+/// The starting checkpoint of every thread in an N-thread group: each
+/// thread gets its own address space, and the k-th duplicate of a
+/// benchmark is offset by `k × SAME_BENCH_OFFSET` instructions
+/// (generalizing the paper's two-thread offset rule).
+///
+/// This is the group's identity without its generator tables: cheap
+/// enough to key a memo on.
 ///
 /// # Panics
 ///
 /// Panics if `names` is empty or contains an unknown benchmark.
-pub fn group_traces(names: &[&str]) -> Vec<SyntheticTrace> {
+pub fn group_checkpoints(names: &[&str]) -> Vec<Checkpoint> {
     assert!(!names.is_empty(), "need at least one thread");
     names
         .iter()
@@ -76,12 +80,25 @@ pub fn group_traces(names: &[&str]) -> Vec<SyntheticTrace> {
             let profile = spec::profile(name).unwrap_or_else(|| panic!("unknown benchmark {name}"));
             // soe-lint: allow(panic-reachability): i comes from enumerate(), so the prefix slice is in bounds
             let duplicates_before = names[..i].iter().filter(|n| *n == name).count() as u64;
-            SyntheticTrace::new(
+            Checkpoint {
                 profile,
-                (i as Addr + 1) * THREAD_BASE_STRIDE,
-                duplicates_before * SAME_BENCH_OFFSET,
-            )
+                position: duplicates_before * SAME_BENCH_OFFSET,
+                base: (i as Addr + 1) * THREAD_BASE_STRIDE,
+            }
         })
+        .collect()
+}
+
+/// Builds the trace sources for an N-thread group, each resumed from
+/// its [`group_checkpoints`] entry.
+///
+/// # Panics
+///
+/// Panics if `names` is empty or contains an unknown benchmark.
+pub fn group_traces(names: &[&str]) -> Vec<SyntheticTrace> {
+    group_checkpoints(names)
+        .into_iter()
+        .map(Checkpoint::into_trace)
         .collect()
 }
 
