@@ -6,9 +6,8 @@
 //! this binary shows those are reasonable points, not magic ones.
 
 use soe_bench::{banner, run_config, run_supervised, write_observability, Cli};
-use soe_core::pool::Job;
 use soe_core::runner::{run_singles, run_spec, RunConfig, RunSpec};
-use soe_core::{FairnessConfig, FairnessPolicy};
+use soe_core::{FairnessConfig, FairnessPolicy, Job};
 use soe_model::FairnessLevel;
 use soe_stats::{fnum, Align, Table};
 use soe_workloads::Pair;

@@ -4,10 +4,9 @@
 //! with fairness enforced to F = 1/4.
 
 use soe_bench::{banner, run_config, run_supervised, save_svg, write_observability, Cli};
-use soe_core::pool::Job;
 use soe_core::runner::run_singles;
 use soe_core::timeseries::{estimated_ipc_st_series, fairness_series, speedup_series};
-use soe_core::{FairnessConfig, FairnessPolicy, SingleRun, WindowRecord};
+use soe_core::{FairnessConfig, FairnessPolicy, Job, SingleRun, WindowRecord};
 use soe_model::FairnessLevel;
 use soe_sim::Machine;
 use soe_stats::chart::line_chart;

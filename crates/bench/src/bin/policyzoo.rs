@@ -11,9 +11,8 @@
 //! asserts with a double-run compare.
 
 use soe_bench::{banner, run_config, run_supervised, save_svg, write_observability, Cli, Sizing};
-use soe_core::pool::Job;
 use soe_core::runner::{run_spec, try_run_single, RunSpec};
-use soe_core::{atomic_write, PairRun, PolicyFactory, SingleRun};
+use soe_core::{atomic_write, Job, PairRun, PolicyFactory, SingleRun};
 use soe_model::FairnessLevel;
 use soe_stats::{fnum, svg, Align, Table, TimeSeries};
 use soe_workloads::{spec, SyntheticTrace};

@@ -8,9 +8,8 @@
 //! pressure.
 
 use soe_bench::{banner, run_config, run_supervised, write_observability, Cli};
-use soe_core::pool::Job;
 use soe_core::runner::{run_spec, try_run_single, RunSpec};
-use soe_core::PolicyFactory;
+use soe_core::{Job, PolicyFactory};
 use soe_model::FairnessLevel;
 use soe_stats::{fnum, Align, Table};
 use soe_workloads::{spec, SyntheticTrace};

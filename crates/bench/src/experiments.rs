@@ -24,9 +24,8 @@ use std::fs;
 use std::path::PathBuf;
 
 use serde::{Deserialize, Serialize};
-use soe_core::pool::Job;
 use soe_core::runner::{run_spec, try_run_single, RunConfig, RunSpec};
-use soe_core::{atomic_write, supervise_jobs_with, Journal, SuperviseOptions, SuperviseReport};
+use soe_core::{atomic_write, supervise_jobs, Job, Journal, SuperviseOptions, SuperviseReport};
 pub use soe_core::{FailureManifest, SkippedRun};
 use soe_core::{PairRun, PolicyFactory, SingleRun};
 use soe_model::FairnessLevel;
@@ -332,27 +331,18 @@ pub fn run_matrix_supervised(
         names.len(),
         names.len() - single_jobs.len()
     );
-    let single_names: Vec<&'static str> = single_jobs.iter().map(|j| j.payload).collect();
     let report = {
         let cfg = *cfg;
-        supervise_and_journal(
-            single_jobs,
-            opts,
-            journal.as_mut(),
-            |name| single_key(name),
-            move |name| {
-                let profile = soe_workloads::spec::profile(name)
-                    .ok_or_else(|| format!("unknown benchmark {name:?}"))?;
-                let trace = soe_workloads::SyntheticTrace::new(profile, 0x10_0000_0000, 0);
-                try_run_single(Box::new(trace), &cfg).map_err(|e| e.to_string())
-            },
-        )
+        supervise_and_journal(single_jobs, opts, journal.as_mut(), move |name| {
+            let profile = soe_workloads::spec::profile(name)
+                .ok_or_else(|| format!("unknown benchmark {name:?}"))?;
+            let trace = soe_workloads::SyntheticTrace::new(profile, 0x10_0000_0000, 0);
+            try_run_single(Box::new(trace), &cfg).map_err(|e| e.to_string())
+        })
     };
-    executed += report.results.iter().flatten().count();
-    for (name, run) in single_names.iter().zip(report.results) {
-        if let Some(run) = run {
-            singles.insert(name, run);
-        }
+    for (name, run) in report.results.into_iter().flatten() {
+        executed += 1;
+        singles.insert(name, run);
     }
     manifest.quarantined.extend(report.quarantined);
 
@@ -397,36 +387,23 @@ pub fn run_matrix_supervised(
         runs.len(),
         manifest.skipped.len()
     );
-    let job_keys: Vec<String> = pair_jobs.iter().map(|j| j.label.clone()).collect();
     let report = {
         let cfg = *cfg;
         let pairs = pairs.clone();
         let singles = singles.clone();
-        let key_of = {
-            let pairs = pairs.clone();
-            move |&(index, f): &(usize, FairnessLevel)| pair_key(&pairs[index], f)
-        };
-        supervise_and_journal(
-            pair_jobs,
-            opts,
-            journal.as_mut(),
-            key_of,
-            move |&(index, f)| {
-                let pair = &pairs[index];
-                let pair_singles = [singles[pair.a].clone(), singles[pair.b].clone()];
-                let factory = PolicyFactory::builtin();
-                RunSpec::named(&factory, "fairness", &[pair.a, pair.b], f, &cfg)
-                    .and_then(|spec| run_spec(spec, &pair_singles))
-                    .map(|out| out.run)
-                    .map_err(|e| e.to_string())
-            },
-        )
+        supervise_and_journal(pair_jobs, opts, journal.as_mut(), move |&(index, f)| {
+            let pair = &pairs[index];
+            let pair_singles = [singles[pair.a].clone(), singles[pair.b].clone()];
+            let factory = PolicyFactory::builtin();
+            RunSpec::named(&factory, "fairness", &[pair.a, pair.b], f, &cfg)
+                .and_then(|spec| run_spec(spec, &pair_singles))
+                .map(|out| out.run)
+                .map_err(|e| e.to_string())
+        })
     };
-    executed += report.results.iter().flatten().count();
-    for (key, run) in job_keys.into_iter().zip(report.results) {
-        if let Some(run) = run {
-            runs.insert(key, run);
-        }
+    for ((index, f), run) in report.results.into_iter().flatten() {
+        executed += 1;
+        runs.insert(pair_key(&pairs[index], f), run);
     }
     manifest.quarantined.extend(report.quarantined);
 
@@ -477,27 +454,27 @@ fn replay<T: Deserialize>(journal: Option<&Journal>, resume: bool, key: &str) ->
     }
 }
 
-/// Supervises `jobs`, journaling each result the moment it completes —
-/// before the matrix moves on — so a crash loses only in-flight runs.
-/// Journal append failures degrade to a warning: the matrix still
-/// completes, only resumability suffers.
+/// Supervises `jobs`, journaling each result under its job's label
+/// (the run's journal key) the moment it completes — before the matrix
+/// moves on — so a crash loses only in-flight runs. Journal append
+/// failures degrade to a warning: the matrix still completes, only
+/// resumability suffers. Each result comes back paired with its payload.
 fn supervise_and_journal<P, R, F>(
     jobs: Vec<Job<P>>,
     opts: &MatrixOptions,
     mut journal: Option<&mut Journal>,
-    key_of: impl Fn(&P) -> String,
     f: F,
-) -> SuperviseReport<R>
+) -> SuperviseReport<(P, R)>
 where
-    P: Send + Sync + 'static,
+    P: Copy + Send + Sync + 'static,
     R: Send + Serialize + 'static,
     F: Fn(&P) -> Result<R, String> + Send + Sync + 'static,
 {
-    let keys: Vec<String> = jobs.iter().map(|j| key_of(&j.payload)).collect();
-    supervise_jobs_with(jobs, &opts.supervise, f, |index, run| {
+    let run = move |p: &P| f(p).map(|r| (*p, r));
+    supervise_jobs(jobs, &opts.supervise, run, |job, (_, run)| {
         if let Some(j) = journal.as_mut() {
             let payload = serde_json::to_string(run).expect("serialize run");
-            if let Err(e) = j.append(&keys[index], &payload) {
+            if let Err(e) = j.append(&job.label, &payload) {
                 eprintln!("[experiments] journal append failed ({e}); continuing unjournaled");
             }
         }

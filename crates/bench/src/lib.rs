@@ -22,9 +22,8 @@ pub mod experiments;
 
 use std::time::Duration;
 
-use soe_core::pool::Job;
 use soe_core::runner::RunConfig;
-use soe_core::{supervise_jobs, FaultPlan, SuperviseOptions};
+use soe_core::{supervise_jobs, FaultPlan, Job, SuperviseOptions};
 
 /// Experiment sizing selected from the command line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,30 +41,6 @@ pub fn sizing_from_args() -> Sizing {
     } else {
         Sizing::Full
     }
-}
-
-/// Resolves the worker-thread count for this invocation: `--jobs N`
-/// (or `--jobs=N`) beats the `SOE_JOBS` environment variable beats the
-/// machine's available parallelism. Results are bit-identical at any
-/// value; only wall-clock time changes.
-///
-/// Exits with a diagnostic on a malformed or zero `--jobs` value — a
-/// typo silently falling back to a default would be worse.
-pub fn jobs_from_args() -> usize {
-    let mut args = std::env::args();
-    let mut explicit = None;
-    while let Some(arg) = args.next() {
-        let value = if arg == "--jobs" {
-            args.next()
-                .unwrap_or_else(|| usage_error("--jobs requires a value"))
-        } else if let Some(v) = arg.strip_prefix("--jobs=") {
-            v.to_string()
-        } else {
-            continue;
-        };
-        explicit = Some(parse_jobs(&value).unwrap_or_else(|e| usage_error(&e)));
-    }
-    soe_core::pool::resolve_workers(explicit)
 }
 
 fn parse_jobs(value: &str) -> Result<usize, String> {
@@ -225,7 +200,7 @@ impl Cli {
                 }
             }
         }
-        cli.workers = soe_core::pool::resolve_workers(explicit_jobs);
+        cli.workers = soe_core::resolve_workers(explicit_jobs);
         Ok(cli)
     }
 
@@ -242,12 +217,10 @@ impl Cli {
             );
         }
         SuperviseOptions {
-            workers: self.workers,
             timeout: self.timeout,
             retries: self.retries,
-            backoff: Duration::from_millis(500),
             faults,
-            progress: true,
+            ..SuperviseOptions::new(self.workers)
         }
     }
 
@@ -279,7 +252,7 @@ where
     R: Send + 'static,
     F: Fn(&P) -> Result<R, String> + Send + Sync + 'static,
 {
-    let report = supervise_jobs(jobs, &cli.supervise_options(), f);
+    let report = supervise_jobs(jobs, &cli.supervise_options(), f, |_, _| {});
     if !report.is_complete() {
         eprintln!(
             "error: {} run(s) still failing after retries:",

@@ -56,7 +56,6 @@ mod metrics;
 pub mod obs;
 pub mod policies;
 mod policy;
-pub mod pool;
 mod registry;
 pub mod runner;
 pub mod serve;
@@ -72,10 +71,9 @@ pub use metrics::{PairRun, SingleRun, ThreadOutcome};
 pub use obs::MetricsRegistry;
 pub use policies::{IslipPolicy, UsageFairPolicy, WdrrPolicy};
 pub use policy::{FairnessConfig, FairnessPolicy, MissLatencyMode, TimeSlicePolicy};
-pub use pool::{resolve_workers, run_jobs, try_run_jobs, Job, JobError, PoolOptions};
 pub use registry::{PolicyBuilder, PolicyError, PolicyFactory, PolicySpec};
 pub use supervise::{
-    atomic_write, supervise_call, supervise_jobs, supervise_jobs_with, FailureKind,
-    FailureManifest, Fault, FaultPlan, JobFailure, Journal, JournalRecovery, Quarantined,
-    SkippedRun, SuperviseOptions, SuperviseReport,
+    atomic_write, resolve_workers, supervise_call, supervise_jobs, FailureKind, FailureManifest,
+    Fault, FaultPlan, Job, JobFailure, Journal, JournalRecovery, Quarantined, SkippedRun,
+    SuperviseOptions, SuperviseReport,
 };

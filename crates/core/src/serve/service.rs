@@ -755,12 +755,15 @@ pub fn run_scenario(sc: &Scenario) -> Result<String, String> {
     let names: Vec<&str> = sc.roster.iter().map(String::as_str).collect();
     let cfg = scenario_run_config(sc);
     // Single-thread references: one per distinct benchmark, measured on
-    // the trace (profile + base + offset) of its first thread.
+    // the trace (profile + base + offset) of its first thread. A
+    // duplicate reuses that reference, so its trace is never built.
     let mut singles: Vec<SingleRun> = Vec::with_capacity(names.len());
-    for (name, trace) in names.iter().zip(soe_workloads::pairs::group_traces(&names)) {
+    let checkpoints = soe_workloads::pairs::group_checkpoints(&names);
+    for (name, checkpoint) in names.iter().zip(checkpoints) {
         let single = match singles.iter().find(|s| s.name == *name) {
             Some(s) => s.clone(),
-            None => try_run_single(Box::new(trace), &cfg).map_err(|e| e.to_string())?,
+            None => try_run_single(Box::new(checkpoint.into_trace()), &cfg)
+                .map_err(|e| e.to_string())?,
         };
         singles.push(single);
     }

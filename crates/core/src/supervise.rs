@@ -1,11 +1,25 @@
-//! Crash-safe experiment supervision: journaled resume, per-job
-//! watchdogs, retry with backoff, quarantine, and deterministic fault
-//! injection.
+//! The job engine: every batch of independent runs (the experiment
+//! matrix, the figure sweeps, the service's per-request calls) goes
+//! through [`supervise_jobs`] or [`supervise_call`], with journaled
+//! resume, per-job watchdogs, retry with backoff, quarantine, and
+//! deterministic fault injection.
 //!
-//! The [`pool`](crate::pool) module dispatches the experiment matrix
-//! across cores; this module keeps a long matrix *alive*. It applies the
-//! same DRR-style discipline the paper applies to threads to our own
-//! jobs:
+//! The paper's evaluation is ~76 independent cycle-level runs (16 pairs
+//! × 4 fairness levels plus 12 single-thread references); they share no
+//! state, so they are dispatched across cores rather than iterated. The
+//! build environment is offline, so this is plain scoped `std::thread`
+//! workers over a shared self-scheduling queue (an atomic cursor over the
+//! job list: idle workers grab the next index), not a rayon dependency.
+//! Results come back in submission order whatever the completion order,
+//! and the engine adds no randomness of its own: a job derives
+//! everything (trace seeds included) from its own payload, so any worker
+//! count produces bit-identical results (asserted by
+//! `tests/determinism.rs`). Worker-count resolution (CLI flag, then
+//! `SOE_JOBS`, then the host's available parallelism) lives in
+//! [`resolve_workers`] so every binary plumbs the same precedence.
+//!
+//! A long matrix must also stay *alive*. The engine applies the same
+//! DRR-style discipline the paper applies to threads to our own jobs:
 //!
 //! * **Bounded time** — every job attempt runs on its own thread and is
 //!   abandoned after a wall-clock timeout ([`SuperviseOptions::timeout`]);
@@ -27,6 +41,9 @@
 //!   deterministically from a seed (`SOE_FAULTS=panic:0.05,stall:0.02@7`),
 //!   so all of the above is exercised in tests and CI chaos runs, not
 //!   just during real incidents.
+//! * **Observability** — with [`SuperviseOptions::progress`] on, each
+//!   completion prints jobs-completed / total with an ETA from a running
+//!   mean of job durations to stderr.
 
 use std::collections::BTreeMap;
 use std::io::Write as _;
@@ -37,8 +54,6 @@ use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
-
-use crate::pool::{panic_message, Job, Progress};
 
 // ---------------------------------------------------------------------------
 // Atomic writes
@@ -569,6 +584,48 @@ fn splitmix64(mut x: u64) -> u64 {
 // Supervised execution
 // ---------------------------------------------------------------------------
 
+/// One unit of work: an opaque payload plus a human-readable label used
+/// in progress output and quarantine reports (e.g. `"swim:eon @ F=1/2"`).
+#[derive(Debug, Clone)]
+pub struct Job<P> {
+    /// Shown in progress lines and quarantine reports.
+    pub label: String,
+    /// Everything the job function needs. Determinism across worker
+    /// counts requires the payload to carry (or imply) its own RNG
+    /// seeds — nothing may depend on execution order.
+    pub payload: P,
+}
+
+impl<P> Job<P> {
+    /// Creates a labelled job.
+    pub fn new(label: impl Into<String>, payload: P) -> Self {
+        Self {
+            label: label.into(),
+            payload,
+        }
+    }
+}
+
+/// Resolves the worker count from (in precedence order) an explicit
+/// request (`--jobs N`), the `SOE_JOBS` environment variable, and the
+/// host's available parallelism.
+pub fn resolve_workers(explicit: Option<usize>) -> usize {
+    explicit
+        .filter(|n| *n > 0)
+        .or_else(|| {
+            // soe-lint: allow(determinism-taint): SOE_JOBS changes scheduling, not result bytes — runs are keyed and merged in label order
+            std::env::var("SOE_JOBS")
+                .ok()
+                .and_then(|s| s.trim().parse::<usize>().ok())
+                .filter(|n| *n > 0)
+        })
+        .unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(std::num::NonZeroUsize::get)
+                .unwrap_or(1)
+        })
+}
+
 /// Supervisor configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct SuperviseOptions {
@@ -712,38 +769,18 @@ impl<R> SuperviseReport<R> {
     pub fn is_complete(&self) -> bool {
         self.quarantined.is_empty()
     }
-
-    /// Unwraps a complete report into plain results.
-    ///
-    /// # Panics
-    ///
-    /// Panics (listing every quarantined job) if any job failed.
-    pub fn expect_complete(self) -> Vec<R> {
-        if !self.is_complete() {
-            let lines: Vec<String> = self.quarantined.iter().map(ToString::to_string).collect();
-            // soe-lint: allow(panic-macro): documented panicking accessor; callers wanting errors inspect the report
-            panic!(
-                "{} job(s) quarantined:\n  {}",
-                lines.len(),
-                lines.join("\n  ")
-            );
-        }
-        self.results
-            .into_iter()
-            // soe-lint: allow(panic-unwrap): is_complete() above guarantees every slot is filled
-            .map(|r| r.expect("complete report has every result"))
-            .collect()
-    }
 }
 
 /// Runs `jobs` under supervision: each attempt on its own watched
 /// thread, retries with exponential backoff, persistent failures
 /// quarantined. Results come back in submission order.
 ///
-/// Unlike [`try_run_jobs`](crate::pool::try_run_jobs) the job function
-/// returns `Result<R, String>`, so structured failures (a `SimError`,
-/// say) are retried and reported without being funneled through panics;
-/// panics are still captured.
+/// The job function returns `Result<R, String>`, so structured failures
+/// (a `SimError`, say) are retried and reported without being funneled
+/// through panics; panics are still captured. `on_complete(job, &result)`
+/// runs on the collector thread, in completion order, as each job
+/// succeeds — the place to journal results durably while the matrix is
+/// still running (pass `|_, _| {}` for none).
 ///
 /// `'static` bounds: a timed-out attempt's thread cannot be killed, only
 /// *abandoned* — so attempt threads are detached and share the job list
@@ -752,24 +789,7 @@ pub fn supervise_jobs<P, R, F>(
     jobs: Vec<Job<P>>,
     opts: &SuperviseOptions,
     f: F,
-) -> SuperviseReport<R>
-where
-    P: Send + Sync + 'static,
-    R: Send + 'static,
-    F: Fn(&P) -> Result<R, String> + Send + Sync + 'static,
-{
-    supervise_jobs_with(jobs, opts, f, |_, _| {})
-}
-
-/// [`supervise_jobs`] with a completion hook: `on_complete(index, &result)`
-/// runs on the collector thread, in completion order, as each job
-/// succeeds — the place to journal results durably while the matrix is
-/// still running.
-pub fn supervise_jobs_with<P, R, F>(
-    jobs: Vec<Job<P>>,
-    opts: &SuperviseOptions,
-    f: F,
-    mut on_complete: impl FnMut(usize, &R),
+    mut on_complete: impl FnMut(&Job<P>, &R),
 ) -> SuperviseReport<R>
 where
     P: Send + Sync + 'static,
@@ -822,10 +842,11 @@ where
         let mut progress = Progress::new(total, opts.progress);
         for (index, took, outcome) in rx {
             // soe-lint: allow(slice-index): workers only send indexes below jobs.len()
-            progress.completed(&jobs[index].label, took);
+            let job = &jobs[index];
+            progress.completed(&job.label, took);
             match outcome {
                 Ok(r) => {
-                    on_complete(index, &r);
+                    on_complete(job, &r);
                     // soe-lint: allow(slice-index): results was sized to jobs.len() above
                     results[index] = Some(r);
                 }
@@ -966,6 +987,61 @@ where
         label: label.to_string(),
         failures,
     })
+}
+
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
+/// Progress accounting: jobs completed / total plus an ETA from the
+/// running mean of job durations.
+struct Progress {
+    total: usize,
+    done: usize,
+    spent: Duration,
+    started: Instant,
+    enabled: bool,
+}
+
+impl Progress {
+    fn new(total: usize, enabled: bool) -> Self {
+        Self {
+            total,
+            done: 0,
+            spent: Duration::ZERO,
+            // soe-lint: allow(wall-clock, determinism-taint): progress/ETA reporting on stderr only, never serialized state
+            started: Instant::now(),
+            enabled,
+        }
+    }
+
+    fn completed(&mut self, label: &str, took: Duration) {
+        self.done += 1;
+        self.spent += took;
+        if !self.enabled {
+            return;
+        }
+        let mean = self.spent.as_secs_f64() / self.done as f64;
+        // Remaining work divided by the measured rate of this batch:
+        // wall-clock elapsed per completed job accounts for the worker
+        // count without asking how many threads are busy.
+        let wall_per_job = self.started.elapsed().as_secs_f64() / self.done as f64;
+        let remaining = (self.total - self.done) as f64 * wall_per_job;
+        eprintln!(
+            "[pool] {}/{} {label} done in {:.1}s (mean {:.1}s, ETA {:.0}s)",
+            self.done,
+            self.total,
+            took.as_secs_f64(),
+            mean,
+            remaining,
+        );
+    }
 }
 
 #[cfg(test)]
@@ -1172,15 +1248,86 @@ mod tests {
         );
     }
 
+    /// Runs `jobs` quietly on `workers` workers with no hook and
+    /// unwraps the report, which must be complete.
+    fn run_all<P, R, F>(jobs: Vec<Job<P>>, workers: usize, f: F) -> Vec<R>
+    where
+        P: Send + Sync + 'static,
+        R: Send + 'static,
+        F: Fn(&P) -> Result<R, String> + Send + Sync + 'static,
+    {
+        let report = supervise_jobs(jobs, &SuperviseOptions::quiet(workers), f, |_, _| {});
+        assert!(report.is_complete(), "{:?}", report.quarantined);
+        report.results.into_iter().flatten().collect()
+    }
+
     #[test]
     fn supervised_jobs_return_in_order() {
         let jobs: Vec<Job<u64>> = (0..16).map(|i| Job::new(format!("j{i}"), i)).collect();
-        let report = supervise_jobs(jobs, &SuperviseOptions::quiet(4), |i| Ok(*i * 2));
-        assert!(report.is_complete());
         assert_eq!(
-            report.expect_complete(),
+            run_all(jobs, 4, |i| Ok(*i * 2)),
             (0..16).map(|i| i * 2).collect::<Vec<_>>()
         );
+    }
+
+    #[test]
+    fn empty_job_list_gives_an_empty_report() {
+        let report = supervise_jobs(
+            Vec::<Job<u32>>::new(),
+            &SuperviseOptions::quiet(4),
+            |p| Ok(*p),
+            |_, _| {},
+        );
+        assert!(report.is_complete());
+        assert!(report.results.is_empty());
+    }
+
+    #[test]
+    fn more_workers_than_jobs_is_fine() {
+        let jobs: Vec<Job<u32>> = (0..3).map(|i| Job::new(format!("j{i}"), i)).collect();
+        assert_eq!(run_all(jobs, 32, |i| Ok(i + 1)), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn out_of_order_completion_returns_in_submission_order() {
+        let jobs: Vec<Job<u64>> = (0..64).map(|i| Job::new(format!("j{i}"), i)).collect();
+        // Make later jobs finish first to exercise out-of-order arrival.
+        let values = run_all(jobs, 8, |i| {
+            std::thread::sleep(Duration::from_micros(200 * (64 - *i)));
+            Ok(*i * 3)
+        });
+        assert_eq!(values, (0..64).map(|i| i * 3).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn identical_results_at_any_worker_count() {
+        let run = |w: usize| -> Vec<u64> {
+            let jobs = (0..40u64).map(|i| Job::new(format!("j{i}"), i)).collect();
+            run_all(jobs, w, |i| Ok(i.wrapping_mul(0x9e3779b97f4a7c15)))
+        };
+        let serial = run(1);
+        for w in [2, 3, 8] {
+            assert_eq!(run(w), serial, "worker count {w} diverged");
+        }
+    }
+
+    #[test]
+    fn resolve_workers_precedence() {
+        // Explicit beats everything.
+        assert_eq!(resolve_workers(Some(3)), 3);
+        // 0 is treated as unset.
+        let host = std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1);
+        std::env::remove_var("SOE_JOBS");
+        assert_eq!(resolve_workers(Some(0)), host);
+        assert_eq!(resolve_workers(None), host);
+        // SOE_JOBS=1 degrades to serial.
+        std::env::set_var("SOE_JOBS", "1");
+        assert_eq!(resolve_workers(None), 1);
+        std::env::set_var("SOE_JOBS", "junk");
+        assert_eq!(resolve_workers(None), host);
+        std::env::remove_var("SOE_JOBS");
     }
 
     #[test]
@@ -1190,13 +1337,14 @@ mod tests {
         let mut opts = SuperviseOptions::quiet(1);
         opts.retries = 2;
         opts.backoff = Duration::from_millis(1);
-        let report = supervise_jobs(jobs, &opts, |_: &()| {
+        let flaky = |_: &()| {
             if CALLS.fetch_add(1, Ordering::SeqCst) < 2 {
                 Err("transient".to_string())
             } else {
                 Ok(42u32)
             }
-        });
+        };
+        let report = supervise_jobs(jobs, &opts, flaky, |_, _| {});
         assert!(report.is_complete());
         assert_eq!(report.results[0], Some(42));
         assert_eq!(CALLS.load(Ordering::SeqCst), 3);
@@ -1208,13 +1356,14 @@ mod tests {
         let mut opts = SuperviseOptions::quiet(2);
         opts.retries = 1;
         opts.backoff = Duration::from_millis(1);
-        let report = supervise_jobs(jobs, &opts, |i| {
+        let broken = |i: &u32| {
             if *i == 2 {
                 Err("always broken".to_string())
             } else {
                 Ok(*i)
             }
-        });
+        };
+        let report = supervise_jobs(jobs, &opts, broken, |_, _| {});
         assert!(!report.is_complete());
         assert_eq!(report.results[0], Some(1));
         assert_eq!(report.results[1], None);
@@ -1230,15 +1379,22 @@ mod tests {
 
     #[test]
     fn panicking_job_is_captured_and_quarantined() {
-        let jobs = vec![Job::new("boom", ())];
-        let mut opts = SuperviseOptions::quiet(1);
+        let jobs: Vec<Job<u32>> = (0..8).map(|i| Job::new(format!("pair-{i}"), i)).collect();
+        let mut opts = SuperviseOptions::quiet(4);
         opts.retries = 0;
-        let report = supervise_jobs(jobs, &opts, |_: &()| -> Result<u32, String> {
-            panic!("kapow");
-        });
+        let boom = |i: &u32| {
+            assert!(*i != 5, "run {i} went kapow");
+            Ok(*i)
+        };
+        let report = supervise_jobs(jobs, &opts, boom, |_, _| {});
+        assert_eq!(report.quarantined.len(), 1);
         let q = &report.quarantined[0];
+        assert_eq!((q.index, q.label.as_str()), (5, "pair-5"));
         assert_eq!(q.failures[0].kind, FailureKind::Panicked);
-        assert!(q.failures[0].message.contains("kapow"));
+        assert!(q.failures[0].message.contains("run 5 went kapow"));
+        for (i, r) in report.results.iter().enumerate() {
+            assert_eq!(*r, (i != 5).then_some(i as u32), "job {i}");
+        }
     }
 
     #[test]
@@ -1249,12 +1405,13 @@ mod tests {
         opts.backoff = Duration::from_millis(1);
         let jobs = vec![Job::new("hung", true), Job::new("fine", false)];
         let wall = Instant::now();
-        let report = supervise_jobs(jobs, &opts, |hang: &bool| {
+        let hangs = |hang: &bool| {
             if *hang {
                 std::thread::sleep(Duration::from_secs(30));
             }
             Ok(7u32)
-        });
+        };
+        let report = supervise_jobs(jobs, &opts, hangs, |_, _| {});
         let elapsed = wall.elapsed();
         assert!(!report.is_complete());
         assert_eq!(report.results[1], Some(7));
@@ -1276,11 +1433,11 @@ mod tests {
         opts.retries = 0;
         opts.faults = Some(FaultPlan::parse("panic:1.0@7").unwrap());
         let completed = std::sync::Mutex::new(Vec::new());
-        let report = supervise_jobs_with(
+        let report = supervise_jobs(
             jobs,
             &opts,
             |i| Ok(*i),
-            |index, _r| completed.lock().unwrap().push(index),
+            |job, _r| completed.lock().unwrap().push(job.label.clone()),
         );
         assert_eq!(report.quarantined.len(), 8, "panic:1.0 fails everything");
         assert!(completed.lock().unwrap().is_empty());

@@ -91,9 +91,9 @@ fn repeated_matrix_runs_produce_identical_result_set_json() {
 
 #[test]
 fn parallel_matrix_is_bit_identical_to_serial() {
-    // The acceptance bar for the pool: the full quick-sizing experiment
-    // matrix, serialized to JSON, must be byte-for-byte identical
-    // whether run on 1, 2, or 3 workers. Every job derives its traces
+    // The acceptance bar for the job engine: the full quick-sizing
+    // experiment matrix, serialized to JSON, must be byte-for-byte
+    // identical whether run on 1, 2, or 3 workers. Every job derives its traces
     // from explicit seeds, so scheduling must not be observable.
     for workers in [2, 3] {
         assert_eq!(

@@ -378,10 +378,10 @@ fn registry_and_matrix_agree() {
 }
 
 /// Serial == parallel: the whole zoo at one roster size through the
-/// worker pool at 1 and 2 workers must serialize identically.
+/// job engine at 1 and 2 workers must serialize identically.
 #[test]
 fn zoo_results_identical_at_any_worker_count() {
-    use soe_core::pool::{run_jobs, Job};
+    use soe_core::{supervise_jobs, Job, SuperviseOptions};
 
     let n = 4;
     let f = FairnessLevel::HALF;
@@ -394,17 +394,18 @@ fn zoo_results_identical_at_any_worker_count() {
             .map(|p| Job::new(format!("zoo/{p}"), p.clone()))
             .collect();
         let singles = singles.clone();
-        let results = run_jobs(jobs, workers, move |p| {
+        let run = move |p: &String| {
             let factory = PolicyFactory::builtin();
             RunSpec::named(&factory, p, &ROSTER[..n], f, &cfg)
                 .and_then(|spec| run_spec(spec, &singles))
                 .map(|out| out.run)
                 .map_err(|e| e.to_string())
-        });
-        let runs: Vec<_> = results
-            .into_iter()
-            .map(|r| r.expect("zoo run failed"))
-            .collect();
+        };
+        let opts = SuperviseOptions::quiet(workers);
+        let report = supervise_jobs(jobs, &opts, run, |_, _| {});
+        let failed = &report.quarantined;
+        assert!(report.is_complete(), "zoo run failed: {failed:?}");
+        let runs: Vec<_> = report.results.into_iter().flatten().collect();
         serde_json::to_string(&runs).expect("serialize")
     };
     assert_eq!(run_at(1), run_at(2), "worker count changed the results");

@@ -16,9 +16,8 @@ mod common;
 use common::traced_run;
 use proptest::prelude::*;
 use soe_core::obs::{check_events, check_jsonl, trace_jsonl};
-use soe_core::pool::{run_jobs, Job};
 use soe_core::runner::{run_spec, RunConfig, RunSpec};
-use soe_core::{PolicyFactory, SingleRun};
+use soe_core::{supervise_jobs, Job, PolicyFactory, SingleRun, SuperviseOptions};
 use soe_model::FairnessLevel;
 use soe_sim::obs::{EventKind, Trace, TraceConfig, Tracer};
 use soe_sim::ThreadId;
@@ -139,17 +138,21 @@ fn two_identical_runs_produce_byte_identical_traces() {
 
 #[test]
 fn traces_are_byte_identical_across_worker_counts() {
-    // Two independent captures dispatched through the worker pool at 1
+    // Two independent captures dispatched through the job engine at 1
     // and then 2 workers: scheduling must not leak into any trace.
-    let capture_jobs = || {
-        vec![
+    let run_at = |workers: usize| -> Vec<String> {
+        let jobs = vec![
             Job::new("trace-half", FairnessLevel::HALF),
             Job::new("trace-quarter", FairnessLevel::QUARTER),
-        ]
+        ];
+        let serialize = |f: &FairnessLevel| Ok(trace_jsonl(&capture(*f), &["swim", "eon"]));
+        let opts = SuperviseOptions::quiet(workers);
+        let report = supervise_jobs(jobs, &opts, serialize, |_, _| {});
+        assert!(report.is_complete(), "{:?}", report.quarantined);
+        report.results.into_iter().flatten().collect()
     };
-    let serialize = |f: &FairnessLevel| trace_jsonl(&capture(*f), &["swim", "eon"]);
-    let serial = run_jobs(capture_jobs(), 1, serialize);
-    let pooled = run_jobs(capture_jobs(), 2, serialize);
+    let serial = run_at(1);
+    let pooled = run_at(2);
     assert_eq!(serial.len(), pooled.len());
     for (i, (a, b)) in serial.iter().zip(&pooled).enumerate() {
         assert!(a == b, "job {i}: --jobs 1 and --jobs 2 traces differ");
