@@ -24,6 +24,10 @@
 //! * **Repeated scenarios** are memoized via checksummed warmup
 //!   checkpoints ([`memo::MemoCache`]); corrupt cache entries fall back
 //!   to cold runs.
+//! * **Repeated threads** are measured once: [`run_scenario`] keeps each
+//!   single-thread reference it simulates in a bounded per-process
+//!   cache, since a reference does not depend on the co-runners, policy
+//!   or target F.
 //!
 //! Each session emits a `soe-serve-slo/1` report ([`slo::SloReport`]):
 //! per-client latency percentiles, queue waits, shed counts, and the

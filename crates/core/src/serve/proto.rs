@@ -192,7 +192,10 @@ impl Scenario {
     }
 
     /// The scheduling cost of this scenario in simulated thread-cycles
-    /// — what the deficit-round-robin queue charges the client.
+    /// — what the deficit-round-robin queue charges the client. It is an
+    /// upper bound: it charges one reference run per thread, and a
+    /// reference the process has already measured is not simulated
+    /// again.
     pub fn cost(&self) -> f64 {
         (self.warmup_cycles + self.measure_cycles) as f64 * (self.roster.len() + 1) as f64
     }

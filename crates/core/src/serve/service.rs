@@ -33,11 +33,12 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use serde::Value;
 use soe_model::FairnessLevel;
+use soe_workloads::Checkpoint;
 
 use crate::metrics::SingleRun;
 use crate::policy::TimeSlicePolicy;
@@ -762,8 +763,7 @@ pub fn run_scenario(sc: &Scenario) -> Result<String, String> {
     for (name, checkpoint) in names.iter().zip(checkpoints) {
         let single = match singles.iter().find(|s| s.name == *name) {
             Some(s) => s.clone(),
-            None => try_run_single(Box::new(checkpoint.into_trace()), &cfg)
-                .map_err(|e| e.to_string())?,
+            None => reference(checkpoint, &cfg)?,
         };
         singles.push(single);
     }
@@ -781,6 +781,69 @@ pub fn run_scenario(sc: &Scenario) -> Result<String, String> {
     let run = run_spec(spec, &singles).map_err(|e| e.to_string())?.run;
     let result = ScenarioResult { singles, run };
     serde_json::to_string(&result).map_err(|e| e.to_string())
+}
+
+/// Most single-thread references one process keeps (≈200 bytes each).
+/// Past this, references are still measured but no longer stored.
+const REFERENCE_CACHE_CAP: usize = 1024;
+
+/// Single-thread references this process has already measured, keyed by
+/// [`reference_key`]. A reference depends on its thread alone, not on
+/// the co-runners, policy or target F, so every cold request after the
+/// first that names the same (benchmark, slot) at the same sizing reads
+/// it from here instead of simulating it again. Only successful runs
+/// are stored; two workers that miss one key at once both simulate it,
+/// which is harmless because the value is a pure function of the key.
+///
+/// It lives here, not in the runner, so the figure binaries and the
+/// benchmark still simulate every reference they ask for.
+static REFERENCES: Mutex<BTreeMap<String, SingleRun>> = Mutex::new(BTreeMap::new());
+
+/// What a single-thread reference run reads: the thread's checkpoint
+/// (profile digest, position, base), the machine, and the run windows.
+/// The fairness parameters, the policy and the co-runners never reach a
+/// `NeverSwitch` run, so they are left out.
+fn reference_key(checkpoint: &Checkpoint, cfg: &RunConfig) -> String {
+    let machine = format!("{:?}", cfg.machine);
+    format!(
+        "{} machine={:016x} warmup={} measure={} stall={:?}",
+        checkpoint.memo_key(),
+        fnv1a64(machine.as_bytes()),
+        cfg.warmup_cycles,
+        cfg.measure_cycles,
+        cfg.stall_window
+    )
+}
+
+/// Stores `single` under `key` unless `cache` already holds
+/// [`REFERENCE_CACHE_CAP`] entries.
+fn remember(cache: &mut BTreeMap<String, SingleRun>, key: String, single: &SingleRun) {
+    if cache.len() < REFERENCE_CACHE_CAP {
+        cache.insert(key, single.clone());
+    }
+}
+
+/// The single-thread reference of the thread that starts at
+/// `checkpoint`: from [`REFERENCES`] if this process has measured it,
+/// else simulated (without holding the lock) and then stored.
+fn reference(checkpoint: Checkpoint, cfg: &RunConfig) -> Result<SingleRun, String> {
+    let key = reference_key(&checkpoint, cfg);
+    let cached = REFERENCES
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .get(&key)
+        .cloned();
+    if let Some(single) = cached {
+        return Ok(single);
+    }
+    let single =
+        try_run_single(Box::new(checkpoint.into_trace()), cfg).map_err(|e| e.to_string())?;
+    remember(
+        &mut REFERENCES.lock().unwrap_or_else(PoisonError::into_inner),
+        key,
+        &single,
+    );
+    Ok(single)
 }
 
 /// The memoization key for a scenario: roster in clear (debuggable
@@ -802,6 +865,17 @@ pub fn memo_key(sc: &Scenario) -> String {
 mod tests {
     use super::*;
 
+    fn scenario(roster: &[&str], policy: &str, f: f64, timeslice_cycles: u64) -> Scenario {
+        Scenario {
+            roster: roster.iter().map(ToString::to_string).collect(),
+            policy: policy.to_string(),
+            f,
+            timeslice_cycles,
+            warmup_cycles: 10_000,
+            measure_cycles: 20_000,
+        }
+    }
+
     #[test]
     fn memo_key_matches_keys_from_built_traces() {
         // The key from the group's checkpoints must equal the key from
@@ -812,14 +886,7 @@ mod tests {
             &["mcf", "gcc", "mcf", "mcf"],
             &["art", "apsi", "lucas", "art", "wupwise", "apsi"],
         ] {
-            let sc = Scenario {
-                roster: roster.iter().map(ToString::to_string).collect(),
-                policy: "fairness".to_string(),
-                f: 0.5,
-                timeslice_cycles: 0,
-                warmup_cycles: 10_000,
-                measure_cycles: 20_000,
-            };
+            let sc = scenario(roster, "fairness", 0.5, 0);
             let mut ident = serde_json::to_string(&sc).unwrap_or_default();
             for trace in soe_workloads::pairs::group_traces(roster) {
                 ident.push('|');
@@ -830,6 +897,102 @@ mod tests {
         }
     }
 
+    /// The reference key of thread `i` of `sc`, at `sc`'s run config.
+    fn key_of(sc: &Scenario, i: usize) -> String {
+        let names: Vec<&str> = sc.roster.iter().map(String::as_str).collect();
+        let checkpoints = soe_workloads::pairs::group_checkpoints(&names);
+        reference_key(&checkpoints[i], &scenario_run_config(sc))
+    }
+
+    #[test]
+    fn a_cached_reference_equals_a_direct_single_thread_run() {
+        // Both scenarios run gcc in slot 0, under different policies,
+        // targets and co-runners: the second reads gcc's reference from
+        // the cache, and it must be the runner's own answer.
+        let first = scenario(&["gcc", "swim"], "fairness", 0.5, 0);
+        let second = scenario(&["gcc", "eon", "mcf"], "timeslice", 0.0, 5_000);
+        run_scenario(&first).unwrap();
+        assert!(REFERENCES
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .contains_key(&key_of(&first, 0)));
+        let payload = run_scenario(&second).unwrap();
+        let cached: ScenarioResult = serde_json::from_str(&payload).unwrap();
+        let checkpoint = soe_workloads::pairs::group_checkpoints(&["gcc", "eon", "mcf"])
+            .into_iter()
+            .next()
+            .unwrap();
+        let direct = try_run_single(
+            Box::new(checkpoint.into_trace()),
+            &scenario_run_config(&second),
+        )
+        .unwrap();
+        assert_eq!(
+            serde_json::to_string(&cached.singles[0]).unwrap(),
+            serde_json::to_string(&direct).unwrap()
+        );
+    }
+
+    #[test]
+    fn reference_key_covers_exactly_what_a_single_thread_run_reads() {
+        let base = scenario(&["gcc", "swim"], "fairness", 0.5, 0);
+        let key = key_of(&base, 0);
+        // Knobs a NeverSwitch run never sees share the key.
+        for same in [
+            scenario(&["gcc", "swim"], "fairness", 1.0, 0),
+            scenario(&["gcc", "swim"], "timeslice", 0.0, 5_000),
+            scenario(&["gcc", "swim"], "timeslice", 0.0, 2_000),
+            scenario(&["gcc", "eon", "mcf", "art"], "fairness", 0.0, 0),
+        ] {
+            assert_eq!(key_of(&same, 0), key, "{same:?}");
+        }
+        // Everything the run reads changes it.
+        let mut warmup = base.clone();
+        warmup.warmup_cycles += 1;
+        let mut measure = base.clone();
+        measure.measure_cycles += 1;
+        let slot = scenario(&["swim", "gcc"], "fairness", 0.5, 0);
+        let duplicate = scenario(&["gcc", "gcc"], "fairness", 0.5, 0);
+        let profile = scenario(&["eon", "swim"], "fairness", 0.5, 0);
+        assert_ne!(key_of(&warmup, 0), key, "warm-up window");
+        assert_ne!(key_of(&measure, 0), key, "measurement window");
+        assert_ne!(key_of(&slot, 1), key, "slot (address-space base)");
+        assert_ne!(
+            key_of(&duplicate, 1),
+            key_of(&slot, 1),
+            "duplicate offset in the same slot"
+        );
+        assert_ne!(key_of(&profile, 0), key, "profile");
+        let names = ["gcc", "swim"];
+        let mut checkpoint = soe_workloads::pairs::group_checkpoints(&names).remove(0);
+        let cfg = scenario_run_config(&base);
+        assert_eq!(reference_key(&checkpoint, &cfg), key);
+        let mut machine = cfg;
+        machine.machine.mem_latency += 1;
+        assert_ne!(reference_key(&checkpoint, &machine), key, "machine");
+        checkpoint.profile.mem.cold_load_prob *= 1.5;
+        assert_ne!(reference_key(&checkpoint, &cfg), key, "profile parameters");
+    }
+
+    #[test]
+    fn reference_cache_stops_growing_at_its_cap() {
+        let single = SingleRun {
+            name: "gcc".to_string(),
+            retired: 1,
+            cycles: 2,
+            ipc_st: 0.5,
+            l2_misses: 0,
+            ipm: 1.0,
+        };
+        let mut cache = BTreeMap::new();
+        for i in 0..REFERENCE_CACHE_CAP + 10 {
+            remember(&mut cache, format!("k{i}"), &single);
+        }
+        assert_eq!(cache.len(), REFERENCE_CACHE_CAP);
+        assert!(cache.contains_key("k0"));
+        assert!(!cache.contains_key(&format!("k{REFERENCE_CACHE_CAP}")));
+    }
+
     #[test]
     fn run_scenario_rejects_what_the_request_check_rejects() {
         for (roster, policy, field) in [
@@ -837,14 +1000,7 @@ mod tests {
             (&["gcc", "no-such-benchmark"], "fairness", "scenario.roster"),
             (&["gcc", "eon"], "timeslice", "scenario.timeslice_cycles"),
         ] {
-            let sc = Scenario {
-                roster: roster.iter().map(ToString::to_string).collect(),
-                policy: policy.to_string(),
-                f: 0.5,
-                timeslice_cycles: 0,
-                warmup_cycles: 10_000,
-                measure_cycles: 20_000,
-            };
+            let sc = scenario(roster, policy, 0.5, 0);
             let err = run_scenario(&sc).expect_err("an invalid scenario must not run");
             assert!(err.contains(field), "{err:?} does not name {field}");
         }

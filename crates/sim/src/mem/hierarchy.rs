@@ -309,25 +309,6 @@ impl Hierarchy {
         self.walk(now, vpn, lat)
     }
 
-    /// Earliest cycle at which any in-flight fill completes after `now`
-    /// (used by the machine's quiescent fast-forward).
-    pub fn next_event_after(&mut self, now: Cycle) -> Option<Cycle> {
-        // next_free of a *full* file is the earliest fill; for a non-full
-        // file we must scan. Cheapest correct approach: take the min over
-        // the outstanding entries of each MSHR file via next_free on a
-        // synthetic full check — instead expose via small scans.
-        let mut earliest: Option<Cycle> = None;
-        for m in [&mut self.l1i_mshr, &mut self.l1d_mshr, &mut self.l2_mshr] {
-            let candidate = m.earliest_fill(now);
-            earliest = match (earliest, candidate) {
-                (None, c) => c,
-                (Some(e), None) => Some(e),
-                (Some(e), Some(c)) => Some(e.min(c)),
-            };
-        }
-        earliest
-    }
-
     /// L1 instruction cache statistics.
     pub fn l1i_stats(&self) -> crate::mem::CacheStats {
         self.l1i.stats()
@@ -493,14 +474,5 @@ mod tests {
             now = r.complete_at + 10;
         }
         assert_eq!(h.stats().prefetches_issued, 0);
-    }
-
-    #[test]
-    fn next_event_after_reports_inflight_fill() {
-        let mut h = hierarchy();
-        let r = h.access_data(0, 0x60_000, false);
-        let next = h.next_event_after(0).expect("fill in flight");
-        assert!(next <= r.complete_at);
-        assert!(h.next_event_after(r.complete_at + 1).is_none());
     }
 }

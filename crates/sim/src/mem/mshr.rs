@@ -125,17 +125,6 @@ impl MshrFile {
         self.slots[slot] = (line_addr, fill_at);
     }
 
-    /// Earliest fill completion strictly after `now`, if any fill is in
-    /// flight.
-    pub fn earliest_fill(&mut self, now: Cycle) -> Option<Cycle> {
-        self.expire(now);
-        self.slots
-            .iter()
-            .filter(|&&(_, f)| f > now)
-            .map(|&(_, f)| f)
-            .min()
-    }
-
     /// Number of live entries at `now`.
     pub fn len(&mut self, now: Cycle) -> usize {
         self.expire(now);
@@ -145,14 +134,6 @@ impl MshrFile {
     /// Whether the file has no live entries at `now`.
     pub fn is_empty(&mut self, now: Cycle) -> bool {
         self.len(now) == 0
-    }
-
-    /// Drops all in-flight entries (used only by tests and machine reset;
-    /// SOE thread switches deliberately do *not* cancel fills).
-    pub fn clear(&mut self) {
-        for s in &mut self.slots {
-            *s = (0, 0);
-        }
     }
 }
 
@@ -202,13 +183,5 @@ mod tests {
         let mut m = MshrFile::new(1);
         m.register(0x40, 0, 100);
         m.register(0x80, 0, 100);
-    }
-
-    #[test]
-    fn clear_empties() {
-        let mut m = MshrFile::new(1);
-        m.register(0x40, 0, 100);
-        m.clear();
-        assert!(m.is_empty(0));
     }
 }
