@@ -53,21 +53,6 @@ pub struct ResultSet {
     pub pairs: Vec<PairResults>,
 }
 
-impl ResultSet {
-    /// The run at level `f` for each pair.
-    pub fn at_level(&self, f: FairnessLevel) -> Vec<&PairRun> {
-        self.pairs
-            .iter()
-            .map(|p| {
-                p.runs
-                    .iter()
-                    .find(|r| r.target == Some(f))
-                    .expect("every pair has every level")
-            })
-            .collect()
-    }
-}
-
 /// How to execute one matrix: supervision settings plus the optional
 /// on-disk journal backing `--resume`.
 #[derive(Debug, Clone)]

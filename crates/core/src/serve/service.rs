@@ -38,6 +38,7 @@ use std::time::{Duration, Instant};
 
 use serde::Value;
 use soe_model::FairnessLevel;
+use soe_workloads::pairs::THREAD_BASE_STRIDE;
 use soe_workloads::Checkpoint;
 
 use crate::metrics::SingleRun;
@@ -789,25 +790,33 @@ const REFERENCE_CACHE_CAP: usize = 1024;
 
 /// Single-thread references this process has already measured, keyed by
 /// [`reference_key`]. A reference depends on its thread alone, not on
-/// the co-runners, policy or target F, so every cold request after the
-/// first that names the same (benchmark, slot) at the same sizing reads
-/// it from here instead of simulating it again. Only successful runs
-/// are stored; two workers that miss one key at once both simulate it,
-/// which is harmless because the value is a pure function of the key.
+/// the co-runners, policy, target F or address-space slot, so every cold
+/// request after the first that names the same benchmark at the same
+/// stream position and sizing reads it from here instead of simulating
+/// it again. Only successful runs are stored; two workers that miss one
+/// key at once both simulate it, which is harmless because the value is
+/// a pure function of the key.
 ///
 /// It lives here, not in the runner, so the figure binaries and the
 /// benchmark still simulate every reference they ask for.
 static REFERENCES: Mutex<BTreeMap<String, SingleRun>> = Mutex::new(BTreeMap::new());
 
-/// What a single-thread reference run reads: the thread's checkpoint
-/// (profile digest, position, base), the machine, and the run windows.
-/// The fairness parameters, the policy and the co-runners never reach a
-/// `NeverSwitch` run, so they are left out.
+/// What a single-thread reference run can observe: the thread's
+/// profile digest and stream position, the machine, and the run
+/// windows. The fairness parameters, the policy and the co-runners never
+/// reach a `NeverSwitch` run, so they are left out. So is the slot: every
+/// base is a multiple of [`THREAD_BASE_STRIDE`], and no address-indexed
+/// structure reads bits that high (`tests/relocation_invariance.rs`),
+/// so the base is keyed modulo the stride.
 fn reference_key(checkpoint: &Checkpoint, cfg: &RunConfig) -> String {
+    let slot_free = Checkpoint {
+        base: checkpoint.base % THREAD_BASE_STRIDE,
+        ..checkpoint.clone()
+    };
     let machine = format!("{:?}", cfg.machine);
     format!(
         "{} machine={:016x} warmup={} measure={} stall={:?}",
-        checkpoint.memo_key(),
+        slot_free.memo_key(),
         fnv1a64(machine.as_bytes()),
         cfg.warmup_cycles,
         cfg.measure_cycles,
@@ -904,40 +913,49 @@ mod tests {
         reference_key(&checkpoints[i], &scenario_run_config(sc))
     }
 
+    /// The reference `run_scenario` reported for thread `i` of `sc`
+    /// must be the runner's own answer for that thread's checkpoint.
+    fn assert_reference_is_direct(sc: &Scenario, i: usize) {
+        let served: ScenarioResult = serde_json::from_str(&run_scenario(sc).unwrap()).unwrap();
+        let names: Vec<&str> = sc.roster.iter().map(String::as_str).collect();
+        let checkpoint = soe_workloads::pairs::group_checkpoints(&names).remove(i);
+        let direct =
+            try_run_single(Box::new(checkpoint.into_trace()), &scenario_run_config(sc)).unwrap();
+        assert_eq!(
+            serde_json::to_string(&served.singles[i]).unwrap(),
+            serde_json::to_string(&direct).unwrap(),
+            "thread {i} of {:?}",
+            sc.roster
+        );
+    }
+
     #[test]
     fn a_cached_reference_equals_a_direct_single_thread_run() {
-        // Both scenarios run gcc in slot 0, under different policies,
-        // targets and co-runners: the second reads gcc's reference from
-        // the cache, and it must be the runner's own answer.
+        // All three scenarios run gcc at stream position 0, under
+        // different policies, targets, co-runners and slots: the later
+        // two read gcc's reference from the cache, measured in slot 0,
+        // and it must be the runner's own answer for their own slot.
         let first = scenario(&["gcc", "swim"], "fairness", 0.5, 0);
-        let second = scenario(&["gcc", "eon", "mcf"], "timeslice", 0.0, 5_000);
         run_scenario(&first).unwrap();
         assert!(REFERENCES
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .contains_key(&key_of(&first, 0)));
-        let payload = run_scenario(&second).unwrap();
-        let cached: ScenarioResult = serde_json::from_str(&payload).unwrap();
-        let checkpoint = soe_workloads::pairs::group_checkpoints(&["gcc", "eon", "mcf"])
-            .into_iter()
-            .next()
-            .unwrap();
-        let direct = try_run_single(
-            Box::new(checkpoint.into_trace()),
-            &scenario_run_config(&second),
-        )
-        .unwrap();
-        assert_eq!(
-            serde_json::to_string(&cached.singles[0]).unwrap(),
-            serde_json::to_string(&direct).unwrap()
+        assert_reference_is_direct(
+            &scenario(&["gcc", "eon", "mcf"], "timeslice", 0.0, 5_000),
+            0,
         );
+        let relocated = scenario(&["eon", "mcf", "gcc"], "fairness", 1.0, 0);
+        assert_eq!(key_of(&relocated, 2), key_of(&first, 0));
+        assert_reference_is_direct(&relocated, 2);
     }
 
     #[test]
     fn reference_key_covers_exactly_what_a_single_thread_run_reads() {
         let base = scenario(&["gcc", "swim"], "fairness", 0.5, 0);
         let key = key_of(&base, 0);
-        // Knobs a NeverSwitch run never sees share the key.
+        // Knobs a NeverSwitch run never sees share the key, and so does
+        // the slot: relocation leaves a single-thread run unchanged.
         for same in [
             scenario(&["gcc", "swim"], "fairness", 1.0, 0),
             scenario(&["gcc", "swim"], "timeslice", 0.0, 5_000),
@@ -946,22 +964,25 @@ mod tests {
         ] {
             assert_eq!(key_of(&same, 0), key, "{same:?}");
         }
+        let slot = scenario(&["swim", "gcc"], "fairness", 0.5, 0);
+        assert_eq!(key_of(&slot, 1), key, "slot (address-space base)");
+        let far = scenario(
+            &["art", "eon", "mcf", "swim", "apsi", "lucas", "mgrid", "gcc"],
+            "fairness",
+            0.5,
+            0,
+        );
+        assert_eq!(key_of(&far, 7), key, "slot 8");
         // Everything the run reads changes it.
         let mut warmup = base.clone();
         warmup.warmup_cycles += 1;
         let mut measure = base.clone();
         measure.measure_cycles += 1;
-        let slot = scenario(&["swim", "gcc"], "fairness", 0.5, 0);
         let duplicate = scenario(&["gcc", "gcc"], "fairness", 0.5, 0);
         let profile = scenario(&["eon", "swim"], "fairness", 0.5, 0);
         assert_ne!(key_of(&warmup, 0), key, "warm-up window");
         assert_ne!(key_of(&measure, 0), key, "measurement window");
-        assert_ne!(key_of(&slot, 1), key, "slot (address-space base)");
-        assert_ne!(
-            key_of(&duplicate, 1),
-            key_of(&slot, 1),
-            "duplicate offset in the same slot"
-        );
+        assert_ne!(key_of(&duplicate, 1), key, "duplicate offset");
         assert_ne!(key_of(&profile, 0), key, "profile");
         let names = ["gcc", "swim"];
         let mut checkpoint = soe_workloads::pairs::group_checkpoints(&names).remove(0);

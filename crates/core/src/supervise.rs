@@ -173,8 +173,16 @@ pub struct Journal {
     entries: BTreeMap<String, String>,
     order: Vec<String>,
     recovery: JournalRecovery,
+    /// Length of the file's intact records: where the next line starts.
+    end: u64,
+    /// Whether a failed write may have left a fragment past `end`.
+    torn: bool,
     /// Armed injected write failures (the `io:P` fault class).
     faults: Option<FaultPlan>,
+    /// Tears the next write after this many bytes (unit tests only: an
+    /// injected `io` fault fails before touching the file).
+    #[cfg(test)]
+    tear_next_write: Option<usize>,
 }
 
 impl Journal {
@@ -235,13 +243,18 @@ impl Journal {
             .map_err(|e| {
                 std::io::Error::new(e.kind(), format!("opening journal {}: {e}", path.display()))
             })?;
+        let end = file.metadata()?.len();
         Ok(Self {
             path,
             file,
             entries,
             order,
             recovery,
+            end,
+            torn: false,
             faults: None,
+            #[cfg(test)]
+            tear_next_write: None,
         })
     }
 
@@ -307,9 +320,9 @@ impl Journal {
     /// Appends (or overwrites) a record durably: the line is written in
     /// one `write_all`, flushed, and synced before this returns. Write
     /// failures — real or injected via [`Journal::set_faults`] — are
-    /// retried up to [`Journal::APPEND_ATTEMPTS`] times. A torn partial
-    /// line left by a failed attempt is dropped by the next
-    /// [`Journal::open`] recovery; the retried full line supersedes it.
+    /// retried up to [`Journal::APPEND_ATTEMPTS`] times. A partial line
+    /// left by a failed attempt is truncated away before the next write,
+    /// so a retried line never lands glued onto a fragment.
     ///
     /// # Errors
     ///
@@ -358,11 +371,26 @@ impl Journal {
         Err(last_err.unwrap_or_else(|| std::io::Error::other("journal append failed")))
     }
 
-    /// One durable write attempt of an encoded line.
+    /// One durable write attempt of an encoded line. A failed attempt
+    /// can leave a fragment without its newline, so the next attempt
+    /// first truncates back to the last intact record: a line glued onto
+    /// a fragment would fail its checksum and be dropped on reopen.
     fn write_line(&mut self, line: &[u8]) -> std::io::Result<()> {
+        if self.torn {
+            self.file.set_len(self.end)?;
+        }
+        self.torn = true;
+        #[cfg(test)]
+        if let Some(len) = self.tear_next_write.take() {
+            self.file.write_all(line.get(..len).unwrap_or(line))?;
+            return Err(std::io::Error::other("torn write"));
+        }
         self.file.write_all(line)?;
         self.file.flush()?;
-        self.file.sync_data()
+        self.file.sync_data()?;
+        self.end += line.len() as u64;
+        self.torn = false;
+        Ok(())
     }
 
     /// Truncates the journal to empty (a fresh, non-resumed matrix).
@@ -373,6 +401,8 @@ impl Journal {
     pub fn reset(&mut self) -> std::io::Result<()> {
         self.file.set_len(0)?;
         self.file.sync_data()?;
+        self.end = 0;
+        self.torn = false;
         self.entries.clear();
         self.order.clear();
         self.recovery = JournalRecovery::default();
@@ -1094,6 +1124,25 @@ mod tests {
         let j2 = Journal::open(&path).unwrap();
         assert_eq!(j2.recovery().dropped, 0);
         assert_eq!(j2.len(), 2);
+    }
+
+    #[test]
+    fn journal_append_retry_after_a_torn_write_keeps_the_record() {
+        let path = tmp("torn-retry");
+        let mut j = Journal::open(&path).unwrap();
+        j.append("a", "1").unwrap();
+        // The first attempt writes part of the line and fails; the retry
+        // succeeds, so the record must survive a reopen.
+        j.tear_next_write = Some(10);
+        j.append("b", "2").unwrap();
+        j.append("c", "3").unwrap();
+        drop(j);
+        let j = Journal::open(&path).unwrap();
+        assert_eq!(j.recovery().dropped, 0, "no fragment left behind");
+        assert_eq!(
+            j.iter().collect::<Vec<_>>(),
+            [("a", "1"), ("b", "2"), ("c", "3")]
+        );
     }
 
     #[test]

@@ -173,16 +173,6 @@ impl Machine {
         self.now
     }
 
-    /// The thread currently occupying (or being switched into) the core.
-    pub fn current_thread(&self) -> ThreadId {
-        self.current
-    }
-
-    /// Number of hardware threads.
-    pub fn thread_count(&self) -> usize {
-        self.traces.len()
-    }
-
     fn multi(&self) -> bool {
         self.traces.len() > 1
     }

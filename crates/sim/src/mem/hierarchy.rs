@@ -324,11 +324,6 @@ impl Hierarchy {
         self.l2.stats()
     }
 
-    /// iTLB statistics.
-    pub fn itlb_stats(&self) -> crate::mem::TlbStats {
-        self.itlb.stats()
-    }
-
     /// dTLB statistics.
     pub fn dtlb_stats(&self) -> crate::mem::TlbStats {
         self.dtlb.stats()

@@ -93,11 +93,6 @@ impl PatternTrace {
             name: name.into(),
         }
     }
-
-    /// Length of the repeating pattern.
-    pub fn pattern_len(&self) -> usize {
-        self.pattern.len()
-    }
 }
 
 impl TraceSource for PatternTrace {

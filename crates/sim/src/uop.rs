@@ -57,14 +57,6 @@ impl UopKind {
     pub fn is_branch(&self) -> bool {
         matches!(self, UopKind::Branch { .. })
     }
-
-    /// Whether this kind redirects control flow (branch, call or return).
-    pub fn is_control(&self) -> bool {
-        matches!(
-            self,
-            UopKind::Branch { .. } | UopKind::Call { .. } | UopKind::Return { .. }
-        )
-    }
 }
 
 /// One micro-op of a thread's dynamic instruction stream.

@@ -82,15 +82,6 @@ pub fn line_chart(series: &TimeSeries, rows: usize, cols: usize) -> String {
     out
 }
 
-/// Renders several series as stacked labelled line charts.
-pub fn multi_line_chart(series: &[TimeSeries], rows: usize, cols: usize) -> String {
-    series
-        .iter()
-        .map(|s| line_chart(s, rows, cols))
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
