@@ -188,14 +188,12 @@ fn main() {
         .iter()
         .map(|(label, v)| Job::new(label.clone(), *v))
         .collect();
-    let job_pair = pair.clone();
-    let job_singles = singles;
-    let runs = run_supervised(jobs, &cli, move |v| {
+    let runs = run_supervised(jobs, &cli, |v| {
         if v.remeasure_singles {
-            let singles = run_singles(&job_pair, &v.cfg).map_err(|e| e.to_string())?;
-            run_with(&job_pair, &singles, &v.cfg, v.fairness)
+            let singles = run_singles(&pair, &v.cfg).map_err(|e| e.to_string())?;
+            run_with(&pair, &singles, &v.cfg, v.fairness)
         } else {
-            run_with(&job_pair, &job_singles, &v.cfg, v.fairness)
+            run_with(&pair, &singles, &v.cfg, v.fairness)
         }
     });
 

@@ -86,12 +86,11 @@ fn main() {
             Task::Records(FairnessLevel::QUARTER),
         ),
     ];
-    let job_pair = pair.clone();
-    let mut out = run_supervised(jobs, &cli, move |task| match task {
+    let mut out = run_supervised(jobs, &cli, |task| match task {
         Task::Singles => Ok(Measured::Singles(
-            run_singles(&job_pair, &cfg).map_err(|e| e.to_string())?,
+            run_singles(&pair, &cfg).map_err(|e| e.to_string())?,
         )),
-        Task::Records(f) => Ok(Measured::Records(run_with_records(&job_pair, *f, &cfg)?)),
+        Task::Records(f) => Ok(Measured::Records(run_with_records(&pair, *f, &cfg)?)),
     })
     .into_iter();
     let (

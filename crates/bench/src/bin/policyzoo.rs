@@ -110,8 +110,7 @@ fn main() {
         .iter()
         .map(|(n, p, f)| Job::new(format!("zoo/{p}/{n}way@{}", f.label()), (*n, p.clone(), *f)))
         .collect();
-    let job_singles = singles.clone();
-    let runs: Vec<PairRun> = run_supervised(jobs, &cli, move |(n, p, f)| {
+    let runs: Vec<PairRun> = run_supervised(jobs, &cli, |(n, p, f)| {
         let n = *n;
         // Same per-size scaling as threadsweep: the cycle quota must
         // leave room for every thread within each Δ window, and every
@@ -124,7 +123,7 @@ fn main() {
         cfg_n.warmup_cycles = cfg.warmup_cycles * n as u64;
         let factory = PolicyFactory::builtin();
         RunSpec::named(&factory, p, &ROSTER[..n], *f, &cfg_n)
-            .and_then(|spec| run_spec(spec, &job_singles[..n]))
+            .and_then(|spec| run_spec(spec, &singles[..n]))
             .map(|out| out.run)
             .map_err(|e| e.to_string())
     });

@@ -56,9 +56,7 @@ fn main() {
                 .map(move |f| Job::new(format!("{n}-threads@{}", f.label()), (n, *f)))
         })
         .collect();
-    let job_singles = singles.clone();
-    let job_policy = policy.clone();
-    let runs = run_supervised(sweep_jobs, &cli, move |(n, f)| {
+    let runs = run_supervised(sweep_jobs, &cli, |(n, f)| {
         let n = *n;
         // The max-cycles quota must leave room for every thread within
         // each Δ window; scale it down as the thread count grows.
@@ -70,8 +68,8 @@ fn main() {
         // Every thread needs its share of warm-up.
         cfg_n.warmup_cycles = cfg.warmup_cycles * n as u64;
         let factory = PolicyFactory::builtin();
-        RunSpec::named(&factory, &job_policy, &ROSTER[..n], *f, &cfg_n)
-            .and_then(|spec| run_spec(spec, &job_singles[..n]))
+        RunSpec::named(&factory, &policy, &ROSTER[..n], *f, &cfg_n)
+            .and_then(|spec| run_spec(spec, &singles[..n]))
             .map(|out| out.run)
             .map_err(|e| e.to_string())
     });

@@ -316,15 +316,12 @@ pub fn run_matrix_supervised(
         names.len(),
         names.len() - single_jobs.len()
     );
-    let report = {
-        let cfg = *cfg;
-        supervise_and_journal(single_jobs, opts, journal.as_mut(), move |name| {
-            let profile = soe_workloads::spec::profile(name)
-                .ok_or_else(|| format!("unknown benchmark {name:?}"))?;
-            let trace = soe_workloads::SyntheticTrace::new(profile, 0x10_0000_0000, 0);
-            try_run_single(Box::new(trace), &cfg).map_err(|e| e.to_string())
-        })
-    };
+    let report = supervise_and_journal(single_jobs, opts, journal.as_mut(), |name| {
+        let profile = soe_workloads::spec::profile(name)
+            .ok_or_else(|| format!("unknown benchmark {name:?}"))?;
+        let trace = soe_workloads::SyntheticTrace::new(profile, 0x10_0000_0000, 0);
+        try_run_single(Box::new(trace), cfg).map_err(|e| e.to_string())
+    });
     for (name, run) in report.results.into_iter().flatten() {
         executed += 1;
         singles.insert(name, run);
@@ -372,20 +369,15 @@ pub fn run_matrix_supervised(
         runs.len(),
         manifest.skipped.len()
     );
-    let report = {
-        let cfg = *cfg;
-        let pairs = pairs.clone();
-        let singles = singles.clone();
-        supervise_and_journal(pair_jobs, opts, journal.as_mut(), move |&(index, f)| {
-            let pair = &pairs[index];
-            let pair_singles = [singles[pair.a].clone(), singles[pair.b].clone()];
-            let factory = PolicyFactory::builtin();
-            RunSpec::named(&factory, "fairness", &[pair.a, pair.b], f, &cfg)
-                .and_then(|spec| run_spec(spec, &pair_singles))
-                .map(|out| out.run)
-                .map_err(|e| e.to_string())
-        })
-    };
+    let report = supervise_and_journal(pair_jobs, opts, journal.as_mut(), |&(index, f)| {
+        let pair = &pairs[index];
+        let pair_singles = [singles[pair.a].clone(), singles[pair.b].clone()];
+        let factory = PolicyFactory::builtin();
+        RunSpec::named(&factory, "fairness", &[pair.a, pair.b], f, cfg)
+            .and_then(|spec| run_spec(spec, &pair_singles))
+            .map(|out| out.run)
+            .map_err(|e| e.to_string())
+    });
     for ((index, f), run) in report.results.into_iter().flatten() {
         executed += 1;
         runs.insert(pair_key(&pairs[index], f), run);
@@ -451,11 +443,11 @@ fn supervise_and_journal<P, R, F>(
     f: F,
 ) -> SuperviseReport<(P, R)>
 where
-    P: Copy + Send + Sync + 'static,
-    R: Send + Serialize + 'static,
-    F: Fn(&P) -> Result<R, String> + Send + Sync + 'static,
+    P: Copy + Send + Sync,
+    R: Send + Serialize,
+    F: Fn(&P) -> Result<R, String> + Sync,
 {
-    let run = move |p: &P| f(p).map(|r| (*p, r));
+    let run = |p: &P| f(p).map(|r| (*p, r));
     supervise_jobs(jobs, &opts.supervise, run, |job, (_, run)| {
         if let Some(j) = journal.as_mut() {
             let payload = serde_json::to_string(run).expect("serialize run");

@@ -248,9 +248,9 @@ impl Cli {
 /// silently wrong.
 pub fn run_supervised<P, R, F>(jobs: Vec<Job<P>>, cli: &Cli, f: F) -> Vec<R>
 where
-    P: Send + Sync + 'static,
-    R: Send + 'static,
-    F: Fn(&P) -> Result<R, String> + Send + Sync + 'static,
+    P: Sync,
+    R: Send,
+    F: Fn(&P) -> Result<R, String> + Sync,
 {
     let report = supervise_jobs(jobs, &cli.supervise_options(), f, |_, _| {});
     if !report.is_complete() {

@@ -4,8 +4,11 @@
 //! # Lifecycle
 //!
 //! One reader thread feeds request lines into the loop; each dispatched
-//! request runs under [`supervise_call`] (watchdog timeout,
-//! retry-with-backoff, quarantine) on its own manager thread. The loop
+//! cold request runs under [`supervise_call`] (watchdog timeout,
+//! retry-with-backoff, quarantine) on one thread of its own, and every
+//! attempt runs on that thread. A timed-out attempt is cancelled: its
+//! simulation stops at its next poll of the deadline, so at most
+//! [`ServeConfig::workers`] simulations run at once. The loop
 //! multiplexes line arrival, request completion, and shutdown:
 //!
 //! * **EOF** — stop accepting, *drain everything*: every queued request
@@ -33,7 +36,7 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use serde::Value;
@@ -442,21 +445,12 @@ pub fn serve<R: Read + Send + 'static>(
                 },
             );
             let label = format!("req/{}", pending.req.id);
-            let opts = supervise_opts;
             let scenario = pending.scenario.clone();
             let worker_tx = tx.clone();
-            let this_seq = seq;
             std::thread::spawn(move || {
-                let outcome = supervise_call(
-                    &label,
-                    this_seq as usize,
-                    &opts,
-                    Arc::new(move || run_scenario(&scenario)),
-                );
-                let _ = worker_tx.send(Event::Done {
-                    seq: this_seq,
-                    outcome,
-                });
+                let run = || run_scenario(&scenario);
+                let outcome = supervise_call(&label, seq as usize, &supervise_opts, &run);
+                let _ = worker_tx.send(Event::Done { seq, outcome });
             });
         }
 

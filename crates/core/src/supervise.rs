@@ -21,12 +21,17 @@
 //! A long matrix must also stay *alive*. The engine applies the same
 //! DRR-style discipline the paper applies to threads to our own jobs:
 //!
-//! * **Bounded time** — every job attempt runs on its own thread and is
-//!   abandoned after a wall-clock timeout ([`SuperviseOptions::timeout`]);
-//!   a hung run can no longer hold the whole matrix hostage. Inside the
-//!   simulator, the forward-progress watchdog
-//!   (`Machine::try_run_cycles` + `SimError::Stalled`) catches runs that
-//!   tick without retiring.
+//! * **Bounded time** — every job attempt runs on the thread that asked
+//!   for it, under a wall-clock deadline ([`SuperviseOptions::timeout`])
+//!   that the simulator polls ([`soe_sim::cancel`]): a run past its
+//!   deadline stops within `POLL_CYCLES` simulated cycles with
+//!   `SimError::Cancelled`, so a hung run neither holds the whole matrix
+//!   hostage nor keeps simulating after its caller has given up. A job
+//!   that blocks *outside* the simulator is not cut loose at its
+//!   deadline unless it polls [`soe_sim::cancel::requested`] itself; it
+//!   is reported as timed out once it returns. Inside the simulator, the
+//!   forward-progress watchdog (`Machine::try_run_cycles` +
+//!   `SimError::Stalled`) catches runs that tick without retiring.
 //! * **Guaranteed forward progress** — panicked, failed or timed-out
 //!   jobs are retried with exponential backoff
 //!   ([`SuperviseOptions::retries`], [`SuperviseOptions::backoff`]) and,
@@ -50,7 +55,7 @@ use std::io::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
@@ -801,9 +806,10 @@ impl<R> SuperviseReport<R> {
     }
 }
 
-/// Runs `jobs` under supervision: each attempt on its own watched
-/// thread, retries with exponential backoff, persistent failures
-/// quarantined. Results come back in submission order.
+/// Runs `jobs` under supervision on `opts.workers` scoped workers, each
+/// attempt under [`supervise_call`] on the worker that took the job:
+/// retries with exponential backoff, persistent failures quarantined.
+/// Results come back in submission order.
 ///
 /// The job function returns `Result<R, String>`, so structured failures
 /// (a `SimError`, say) are retried and reported without being funneled
@@ -811,10 +817,6 @@ impl<R> SuperviseReport<R> {
 /// runs on the collector thread, in completion order, as each job
 /// succeeds — the place to journal results durably while the matrix is
 /// still running (pass `|_, _| {}` for none).
-///
-/// `'static` bounds: a timed-out attempt's thread cannot be killed, only
-/// *abandoned* — so attempt threads are detached and share the job list
-/// and function via `Arc` rather than borrowing from the caller's stack.
 pub fn supervise_jobs<P, R, F>(
     jobs: Vec<Job<P>>,
     opts: &SuperviseOptions,
@@ -822,22 +824,12 @@ pub fn supervise_jobs<P, R, F>(
     mut on_complete: impl FnMut(&Job<P>, &R),
 ) -> SuperviseReport<R>
 where
-    P: Send + Sync + 'static,
-    R: Send + 'static,
-    F: Fn(&P) -> Result<R, String> + Send + Sync + 'static,
+    P: Sync,
+    R: Send,
+    F: Fn(&P) -> Result<R, String> + Sync,
 {
     let total = jobs.len();
-    if total == 0 {
-        return SuperviseReport {
-            results: Vec::new(),
-            quarantined: Vec::new(),
-        };
-    }
-    let jobs: Arc<Vec<Job<P>>> = Arc::new(jobs);
-    let f: Arc<F> = Arc::new(f);
-    let workers = opts.workers.clamp(1, total);
     let cursor = AtomicUsize::new(0);
-    let cursor = &cursor;
     let (tx, rx) = mpsc::channel::<(usize, Duration, Result<R, Quarantined>)>();
 
     let mut results: Vec<Option<R>> = Vec::with_capacity(total);
@@ -845,23 +837,15 @@ where
     let mut quarantined: Vec<Quarantined> = Vec::new();
 
     std::thread::scope(|scope| {
-        for _ in 0..workers {
+        for _ in 0..opts.workers.max(1).min(total) {
             let tx = tx.clone();
-            let jobs = Arc::clone(&jobs);
-            let f = Arc::clone(&f);
-            let opts = *opts;
-            // Managers are scoped (always joinable: every wait is
-            // bounded by recv_timeout); the attempt threads they spawn
-            // are detached, because a hung attempt can only be
-            // abandoned.
+            let (jobs, f, cursor) = (&jobs, &f, &cursor);
             scope.spawn(move || loop {
                 let index = cursor.fetch_add(1, Ordering::Relaxed);
-                if index >= jobs.len() {
-                    break;
-                }
-                // soe-lint: allow(wall-clock, determinism-taint): stall-watchdog/ETA wall-time; journal keys and result bytes never include it
+                let Some(job) = jobs.get(index) else { break };
+                // soe-lint: allow(wall-clock, determinism-taint): ETA wall-time; journal keys and result bytes never include it
                 let start = Instant::now();
-                let outcome = supervise_one(&jobs, index, &f, &opts);
+                let outcome = supervise_call(&job.label, index, opts, &|| f(&job.payload));
                 if tx.send((index, start.elapsed(), outcome)).is_err() {
                     break;
                 }
@@ -897,39 +881,16 @@ where
     }
 }
 
-/// Runs one job to completion or quarantine: attempts on detached
-/// threads, each bounded by the watchdog timeout, with exponential
-/// backoff between attempts.
-fn supervise_one<P, R, F>(
-    jobs: &Arc<Vec<Job<P>>>,
-    index: usize,
-    f: &Arc<F>,
-    opts: &SuperviseOptions,
-) -> Result<R, Quarantined>
-where
-    P: Send + Sync + 'static,
-    R: Send + 'static,
-    F: Fn(&P) -> Result<R, String> + Send + Sync + 'static,
-{
-    // soe-lint: allow(slice-index): supervise_jobs only passes indexes below jobs.len()
-    let label = jobs[index].label.clone();
-    let jobs = Arc::clone(jobs);
-    let f = Arc::clone(f);
-    supervise_call(
-        &label,
-        index,
-        opts,
-        // soe-lint: allow(slice-index): supervise_jobs only passes indexes below jobs.len()
-        Arc::new(move || f(&jobs[index].payload)),
-    )
-}
-
-/// Runs one supervised call to completion or quarantine: every attempt
-/// on its own detached thread bounded by the watchdog timeout, with
-/// exponential backoff between attempts and deterministic fault
-/// injection keyed by `label`. The building block behind
-/// [`supervise_jobs`], used directly by the [`serve`](crate::serve)
-/// service layer for per-request supervision.
+/// Runs one supervised call to completion or quarantine, every attempt
+/// on the calling thread: exponential backoff between attempts and
+/// deterministic fault injection keyed by `label`. The building block
+/// behind [`supervise_jobs`], used directly by the
+/// [`serve`](crate::serve) service layer for per-request supervision.
+///
+/// With a [`SuperviseOptions::timeout`], each attempt runs under a
+/// [`soe_sim::cancel`] stop check that fires at its deadline, so a
+/// simulation stops at its next poll; an attempt that returns after its
+/// deadline is [`FailureKind::TimedOut`] whatever it returned.
 ///
 /// `index` only labels the resulting [`Quarantined`] record (submission
 /// index in a batch, request sequence number in a service).
@@ -938,16 +899,12 @@ where
 ///
 /// [`Quarantined`] with the full per-attempt failure history once the
 /// retry budget is exhausted.
-pub fn supervise_call<R, F>(
+pub fn supervise_call<R>(
     label: &str,
     index: usize,
     opts: &SuperviseOptions,
-    f: Arc<F>,
-) -> Result<R, Quarantined>
-where
-    R: Send + 'static,
-    F: Fn() -> Result<R, String> + Send + Sync + 'static,
-{
+    f: &dyn Fn() -> Result<R, String>,
+) -> Result<R, Quarantined> {
     let mut failures: Vec<JobFailure> = Vec::new();
     for attempt in 1..=opts.retries.saturating_add(1) {
         if attempt > 1 {
@@ -955,61 +912,9 @@ where
             let pause = opts.backoff.saturating_mul(1u32 << (attempt - 2).min(16));
             std::thread::sleep(pause);
         }
-        let fault = opts
-            .faults
-            .map_or(Fault::None, |plan| plan.decide(label, attempt));
-        let slow = opts
-            .faults
-            .and_then(|plan| plan.decide_slow(label, attempt));
-        let (tx, rx) = mpsc::channel::<Result<R, JobFailure>>();
-        {
-            let f = Arc::clone(&f);
-            std::thread::spawn(move || {
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    match fault {
-                        Fault::None => {}
-                        // soe-lint: allow(panic-macro): deliberate fault injection for chaos testing; caught by the harness
-                        Fault::Panic => panic!("injected fault: panic (attempt {attempt})"),
-                        Fault::Stall(d) => std::thread::sleep(d),
-                    }
-                    if let Some(d) = slow {
-                        // Slow-worker fault: added latency, not a hang.
-                        std::thread::sleep(d);
-                    }
-                    f()
-                }));
-                let _ = tx.send(match outcome {
-                    Ok(Ok(r)) => Ok(r),
-                    Ok(Err(message)) => Err(JobFailure {
-                        kind: FailureKind::Failed,
-                        attempt,
-                        message,
-                    }),
-                    Err(payload) => Err(JobFailure {
-                        kind: FailureKind::Panicked,
-                        attempt,
-                        message: panic_message(&*payload),
-                    }),
-                });
-            });
-        }
-        let received = match opts.timeout {
-            Some(t) => rx.recv_timeout(t).map_err(|_| JobFailure {
-                kind: FailureKind::TimedOut,
-                attempt,
-                message: format!("no result within {t:?}; attempt thread abandoned"),
-            }),
-            // A disconnected channel without a timeout means the attempt
-            // thread died without sending — report rather than hang.
-            None => rx.recv().map_err(|_| JobFailure {
-                kind: FailureKind::Panicked,
-                attempt,
-                message: "attempt thread exited without a result".to_string(),
-            }),
-        };
-        match received {
-            Ok(Ok(r)) => return Ok(r),
-            Ok(Err(failure)) | Err(failure) => failures.push(failure),
+        match run_attempt(label, attempt, opts, f) {
+            Ok(r) => return Ok(r),
+            Err(failure) => failures.push(failure),
         }
     }
     Err(Quarantined {
@@ -1017,6 +922,62 @@ where
         label: label.to_string(),
         failures,
     })
+}
+
+/// One attempt of [`supervise_call`], on the calling thread.
+fn run_attempt<R>(
+    label: &str,
+    attempt: u32,
+    opts: &SuperviseOptions,
+    f: &dyn Fn() -> Result<R, String>,
+) -> Result<R, JobFailure> {
+    let fault = opts
+        .faults
+        .map_or(Fault::None, |plan| plan.decide(label, attempt));
+    let slow = opts
+        .faults
+        .and_then(|plan| plan.decide_slow(label, attempt));
+    let timeout = opts.timeout;
+    // soe-lint: allow(wall-clock, determinism-taint): the watchdog deadline only stops a run, and a stopped run yields no result bytes
+    let started = Instant::now();
+    let left = move || timeout.map(|t| t.saturating_sub(started.elapsed()));
+    let passed = move || left() == Some(Duration::ZERO);
+    // Injected sleeps wait on the deadline, as a polling simulation does.
+    let nap = |d: Duration| std::thread::sleep(left().map_or(d, |l| d.min(l)));
+    let run = || {
+        catch_unwind(AssertUnwindSafe(|| {
+            match fault {
+                Fault::None => {}
+                // soe-lint: allow(panic-macro): deliberate fault injection for chaos testing; caught by the harness
+                Fault::Panic => panic!("injected fault: panic (attempt {attempt})"),
+                Fault::Stall(d) => nap(d),
+            }
+            if let Some(d) = slow {
+                // Slow-worker fault: added latency, not a hang.
+                nap(d);
+            }
+            f()
+        }))
+    };
+    let outcome = soe_sim::cancel::with_stop(passed, run);
+    let failure = |kind, message| JobFailure {
+        kind,
+        attempt,
+        message,
+    };
+    match outcome {
+        Err(payload) => Err(failure(FailureKind::Panicked, panic_message(&*payload))),
+        Ok(result) if passed() => {
+            let t = timeout.unwrap_or_default();
+            let why = result.err().map_or_else(String::new, |m| format!(": {m}"));
+            Err(failure(
+                FailureKind::TimedOut,
+                format!("no result within {t:?}; attempt cancelled{why}"),
+            ))
+        }
+        Ok(Ok(r)) => Ok(r),
+        Ok(Err(message)) => Err(failure(FailureKind::Failed, message)),
+    }
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -1064,7 +1025,7 @@ impl Progress {
         let wall_per_job = self.started.elapsed().as_secs_f64() / self.done as f64;
         let remaining = (self.total - self.done) as f64 * wall_per_job;
         eprintln!(
-            "[pool] {}/{} {label} done in {:.1}s (mean {:.1}s, ETA {:.0}s)",
+            "[supervise] {}/{} {label} done in {:.1}s (mean {:.1}s, ETA {:.0}s)",
             self.done,
             self.total,
             took.as_secs_f64(),
@@ -1301,9 +1262,9 @@ mod tests {
     /// unwraps the report, which must be complete.
     fn run_all<P, R, F>(jobs: Vec<Job<P>>, workers: usize, f: F) -> Vec<R>
     where
-        P: Send + Sync + 'static,
-        R: Send + 'static,
-        F: Fn(&P) -> Result<R, String> + Send + Sync + 'static,
+        P: Sync,
+        R: Send,
+        F: Fn(&P) -> Result<R, String> + Sync,
     {
         let report = supervise_jobs(jobs, &SuperviseOptions::quiet(workers), f, |_, _| {});
         assert!(report.is_complete(), "{:?}", report.quarantined);
@@ -1447,7 +1408,7 @@ mod tests {
     }
 
     #[test]
-    fn watchdog_abandons_a_hung_job_within_bounds() {
+    fn watchdog_cancels_a_hung_job_within_bounds() {
         let mut opts = SuperviseOptions::quiet(2);
         opts.timeout = Some(Duration::from_millis(50));
         opts.retries = 1;
@@ -1455,8 +1416,8 @@ mod tests {
         let jobs = vec![Job::new("hung", true), Job::new("fine", false)];
         let wall = Instant::now();
         let hangs = |hang: &bool| {
-            if *hang {
-                std::thread::sleep(Duration::from_secs(30));
+            while *hang && !soe_sim::cancel::requested() {
+                std::thread::sleep(Duration::from_millis(1));
             }
             Ok(7u32)
         };
@@ -1467,12 +1428,47 @@ mod tests {
         let q = &report.quarantined[0];
         assert_eq!(q.label, "hung");
         assert!(q.failures.iter().all(|f| f.kind == FailureKind::TimedOut));
-        // 2 attempts x 50ms + 1ms backoff + slack: far below the 30s
-        // sleep — the watchdog, not the job, bounded the wait.
+        // 2 attempts x 50ms + 1ms backoff + slack: the job never ends on
+        // its own — the watchdog, not the job, bounded the wait.
         assert!(
             elapsed < Duration::from_secs(10),
             "watchdog failed to bound the wait: {elapsed:?}"
         );
+    }
+
+    #[test]
+    fn supervise_call_runs_every_attempt_on_the_calling_thread() {
+        let mut opts = SuperviseOptions::quiet(1);
+        opts.timeout = Some(Duration::from_secs(60));
+        opts.retries = 2;
+        opts.backoff = Duration::from_millis(1);
+        let caller = std::thread::current().id();
+        let seen = std::sync::Mutex::new(Vec::new());
+        let attempt = || {
+            let mut seen = seen.lock().unwrap();
+            seen.push(std::thread::current().id());
+            if seen.len() < 3 {
+                Err("transient".to_string())
+            } else {
+                Ok(())
+            }
+        };
+        supervise_call("inline", 0, &opts, &attempt).unwrap();
+        assert_eq!(*seen.lock().unwrap(), vec![caller; 3]);
+    }
+
+    #[test]
+    fn injected_stall_waits_on_the_deadline_not_its_length() {
+        let mut opts = SuperviseOptions::quiet(1);
+        opts.timeout = Some(Duration::from_millis(50));
+        opts.retries = 0;
+        opts.faults = Some(FaultPlan::parse("stall:1.0,stall_ms:30000@1").unwrap());
+        let wall = Instant::now();
+        let q = supervise_call("stalled", 0, &opts, &|| Ok(())).unwrap_err();
+        assert_eq!(q.failures[0].kind, FailureKind::TimedOut);
+        assert!(q.failures[0].message.contains("cancelled"), "{q}");
+        let elapsed = wall.elapsed();
+        assert!(elapsed < Duration::from_secs(10), "{elapsed:?}");
     }
 
     #[test]

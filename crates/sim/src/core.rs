@@ -10,6 +10,7 @@
 //! predictor state are shared and survive switches.
 
 use crate::backend::{EntryState, FuPool, Rob};
+use crate::cancel;
 use crate::config::MachineConfig;
 use crate::config::PredictorKind;
 use crate::error::SimError;
@@ -85,8 +86,6 @@ pub struct Machine {
     total_retired: InstrIndex,
     /// Reused buffer for writeback's resolved-mispredict positions.
     scratch_resolved: Vec<InstrIndex>,
-    /// Reused buffer for `run_until_retired`'s per-thread targets.
-    scratch_targets: Vec<InstrIndex>,
     /// Per-source quiesce counters (see [`crate::wake`]).
     wake_stats: WakeStats,
     /// The next cycle at which the switch policy can possibly act
@@ -148,7 +147,6 @@ impl Machine {
             tracer: None,
             total_retired: 0,
             scratch_resolved: Vec::new(),
-            scratch_targets: Vec::new(),
             wake_stats: WakeStats::default(),
             policy_due: 0,
             cfg,
@@ -736,10 +734,14 @@ impl Machine {
     /// stall — the 300-cycle memory latency plus TLB walks, bus queueing
     /// and drain — so only a genuinely hung simulation trips it.
     ///
+    /// Each time `now` crosses a multiple of [`cancel::POLL_CYCLES`] the
+    /// run polls this thread's stop check ([`cancel::requested`]).
+    ///
     /// # Errors
     ///
     /// [`SimError::Stalled`] on watchdog expiry, [`SimError::Wedged`] if
-    /// the machine provably cannot make progress again.
+    /// the machine provably cannot make progress again,
+    /// [`SimError::Cancelled`] once the stop check fires.
     pub fn try_run_cycles(
         &mut self,
         cycles: Cycle,
@@ -748,8 +750,16 @@ impl Machine {
         let end = self.now + cycles;
         let mut last_retired = self.total_retired;
         let mut last_progress = self.now;
+        let next_poll = |now: Cycle| (now | (cancel::POLL_CYCLES - 1)) + 1;
+        let mut poll_at = next_poll(self.now);
         while self.now < end {
             self.step(end)?;
+            if self.now >= poll_at {
+                if cancel::requested() {
+                    return Err(SimError::Cancelled { cycle: self.now });
+                }
+                poll_at = next_poll(self.now);
+            }
             if let Some(window) = stall_window {
                 let retired = self.total_retired;
                 if retired != last_retired {
@@ -766,35 +776,6 @@ impl Machine {
             }
         }
         Ok(())
-    }
-
-    /// Runs until every thread has committed at least `instrs` further
-    /// instructions (measured from the current architectural positions).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the target is not reached within `max_cycles` additional
-    /// cycles — a liveness guard against mis-configured experiments.
-    pub fn run_until_retired(&mut self, instrs: u64, max_cycles: Cycle) {
-        let mut targets = std::mem::take(&mut self.scratch_targets);
-        targets.clear();
-        targets.extend(self.positions.iter().map(|p| p + instrs));
-        let deadline = self.now + max_cycles;
-        while self.positions.iter().zip(&targets).any(|(p, t)| p < t) {
-            assert!(
-                self.now < deadline,
-                "run_until_retired: {} instructions not reached within {} cycles \
-                 (positions {:?})",
-                instrs,
-                max_cycles,
-                self.positions
-            );
-            if let Err(e) = self.step(deadline) {
-                // soe-lint: allow(panic-macro): documented panicking wrapper around the try_ stepper
-                panic!("{e}");
-            }
-        }
-        self.scratch_targets = targets;
     }
 }
 
@@ -1126,11 +1107,69 @@ mod tests {
         assert_eq!(run(true), run(false));
     }
 
+    /// Two SOE threads that miss often enough to switch and jump.
+    fn switching_pair() -> Machine {
+        Machine::new(
+            MachineConfig::test_config(),
+            vec![
+                Box::new(MissEvery {
+                    ipm: 16,
+                    region: 0x100_0000,
+                }),
+                Box::new(MissEvery {
+                    ipm: 40,
+                    region: 0x800_0000,
+                }),
+            ],
+            Box::new(SwitchOnEvent::new()),
+        )
+    }
+
+    /// Everything a run leaves behind, as bytes.
+    fn snapshot(m: &Machine) -> String {
+        format!(
+            "{} {:?} {:?} {:?}",
+            m.now(),
+            m.stats(),
+            m.calendar_stats(),
+            m.predictor_stats()
+        )
+    }
+
     #[test]
-    fn run_until_retired_reaches_target() {
-        let mut m = single(Box::new(AluTrace::new()));
-        m.run_until_retired(10_000, 1_000_000);
-        assert!(m.position(ThreadId::new(0)) >= 10_000);
+    fn a_stop_check_that_never_fires_changes_nothing() {
+        let run = |check: bool| {
+            let mut m = switching_pair();
+            let go =
+                |m: &mut Machine| m.try_run_cycles(5 * cancel::POLL_CYCLES + 123, Some(20_000));
+            if check {
+                cancel::with_stop(|| false, || go(&mut m)).unwrap();
+            } else {
+                go(&mut m).unwrap();
+            }
+            snapshot(&m)
+        };
+        assert_eq!(run(true), run(false));
+    }
+
+    #[test]
+    fn cancelled_within_one_poll_interval_of_the_check_firing() {
+        let mut m = switching_pair();
+        m.run_cycles(100_000);
+        let fired_from = m.now();
+        let err = cancel::with_stop(|| true, || m.try_run_cycles(1_000_000, None)).unwrap_err();
+        match err {
+            SimError::Cancelled { cycle } => {
+                assert_eq!(cycle, m.now());
+                assert!(
+                    cycle > fired_from && cycle <= fired_from + cancel::POLL_CYCLES,
+                    "cancelled at {cycle}, check fired from {fired_from}"
+                );
+            }
+            other => panic!("expected Cancelled, got {other:?}"),
+        }
+        // A stopped machine is still a machine: without the check it runs on.
+        m.try_run_cycles(1_000, None).unwrap();
     }
 
     #[test]

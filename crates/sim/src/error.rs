@@ -41,6 +41,12 @@ pub enum SimError {
         /// Occupied re-order-buffer entries.
         rob_len: usize,
     },
+    /// This thread's stop check (see [`crate::cancel`]) fired: the
+    /// run was stopped from outside and produced no result.
+    Cancelled {
+        /// Cycle at which the run noticed the stop.
+        cycle: Cycle,
+    },
     /// The machine configuration failed validation before the run
     /// started (see [`MachineConfig::check`](crate::MachineConfig::check)).
     InvalidConfig(String),
@@ -68,6 +74,7 @@ impl std::fmt::Display for SimError {
                 "machine wedged at cycle {cycle}: no pipeline activity and no pending event \
                  (thread {thread}, ROB {rob_len} entries)"
             ),
+            Self::Cancelled { cycle } => write!(f, "simulation cancelled at cycle {cycle}"),
             Self::InvalidConfig(msg) => write!(f, "invalid machine configuration: {msg}"),
         }
     }

@@ -45,6 +45,7 @@
 #![warn(missing_docs)]
 
 pub mod backend;
+pub mod cancel;
 pub mod config;
 mod core;
 mod error;

@@ -393,8 +393,7 @@ fn zoo_results_identical_at_any_worker_count() {
             .iter()
             .map(|p| Job::new(format!("zoo/{p}"), p.clone()))
             .collect();
-        let singles = singles.clone();
-        let run = move |p: &String| {
+        let run = |p: &String| {
             let factory = PolicyFactory::builtin();
             RunSpec::named(&factory, p, &ROSTER[..n], f, &cfg)
                 .and_then(|spec| run_spec(spec, &singles))

@@ -7,8 +7,8 @@ use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Cursor, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::{Duration, Instant};
 
 use soe_repro::core::serve::{
     run_scenario, serve, QueueDiscipline, Scenario, ServeConfig, SloReport,
@@ -207,7 +207,8 @@ fn identical_scenarios_are_memoized_with_identical_results() {
 #[test]
 fn watchdog_fires_during_warmup() {
     // A scenario whose warmup alone takes far longer than the watchdog:
-    // the supervisor must time it out and quarantine, not hang.
+    // the supervisor must cancel it and quarantine, not hang, and the
+    // simulation must have stopped by the time the call returns.
     let sc = Scenario {
         roster: vec!["gcc".to_string(), "swim".to_string()],
         policy: "fairness".to_string(),
@@ -219,15 +220,24 @@ fn watchdog_fires_during_warmup() {
     let mut opts = SuperviseOptions::quiet(1);
     opts.retries = 0;
     opts.timeout = Some(Duration::from_millis(150));
-    let result = supervise_call(
-        "req/warmup-hang",
-        0,
-        &opts,
-        Arc::new(move || run_scenario(&sc)),
+    let ended = AtomicBool::new(false);
+    let attempt = || {
+        let result = run_scenario(&sc);
+        ended.store(true, Ordering::SeqCst);
+        result
+    };
+    let wall = Instant::now();
+    let result = supervise_call("req/warmup-hang", 0, &opts, &attempt);
+    let elapsed = wall.elapsed();
+    assert!(
+        ended.load(Ordering::SeqCst),
+        "the timed-out simulation was still running when supervise_call returned"
     );
     let q = result.expect_err("a 100M-cycle warmup cannot beat a 150ms watchdog");
     assert_eq!(q.failures.len(), 1);
     assert_eq!(q.failures[0].kind, FailureKind::TimedOut);
+    assert!(q.failures[0].message.contains("cancelled"), "{q}");
+    assert!(elapsed < Duration::from_secs(5), "{elapsed:?}");
 }
 
 // ----------------------------------------------------------------------
