@@ -72,6 +72,7 @@ impl MatrixOptions {
     /// journal, no watchdog, no retries, no fault injection — and no
     /// environment sensitivity, so library callers and determinism
     /// tests cannot be perturbed by `SOE_FAULTS`.
+    // soe-lint: allow(dead-pub): run_matrix and tests/supervision.rs
     pub fn plain(workers: usize) -> Self {
         let mut supervise = SuperviseOptions::new(workers);
         supervise.retries = 0;
@@ -203,6 +204,7 @@ pub fn full_results(sizing: Sizing, cli: &Cli) -> ResultSet {
 /// # Panics
 ///
 /// Panics, listing the failures, if any run panics or errors.
+// soe-lint: allow(dead-pub): the in-memory oracle of tests/determinism.rs and tests/supervision.rs
 pub fn run_matrix(cfg: &RunConfig, workers: usize) -> ResultSet {
     let outcome = run_matrix_supervised(cfg, &MatrixOptions::plain(workers))
         .expect("in-memory matrix cannot hit journal I/O");

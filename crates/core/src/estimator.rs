@@ -46,6 +46,7 @@ pub struct WindowRecord {
 /// assert!((q[0].unwrap() - 1_666.7).abs() < 1.0); // Table 2's forced quota
 /// assert!(q[1].is_none()); // the missy thread keeps its natural switching
 /// ```
+// soe-lint: allow(dead-pub): tests/proptest_core.rs checks Eq 9 through it
 pub fn quotas_from_estimates(
     estimates: &[ThreadEstimate],
     miss_lat: f64,
@@ -257,6 +258,7 @@ impl Estimator {
     }
 
     /// The miss latency currently in use.
+    // soe-lint: allow(dead-pub): policy.rs's miss-latency tests read the latency in use
     pub fn miss_lat(&self) -> f64 {
         self.miss_lat
     }

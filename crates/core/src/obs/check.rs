@@ -19,7 +19,7 @@ use std::collections::BTreeMap;
 use soe_sim::obs::{EventKind, Trace, TraceEvent};
 use soe_sim::{Cycle, ThreadId};
 
-use crate::obs::parse_reason;
+use crate::obs::{kind_label, parse_reason};
 
 /// Aggregates reported by a successful check.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -34,21 +34,6 @@ pub struct TraceSummary {
     pub first_at: Option<Cycle>,
     /// Cycle of the last event, if any.
     pub last_at: Option<Cycle>,
-}
-
-/// Wire-format label of an event kind (matches the JSONL `"kind"`).
-fn kind_label(kind: &EventKind) -> &'static str {
-    match kind {
-        EventKind::SwitchOut { .. } => "switch_out",
-        EventKind::SwitchIn { .. } => "switch_in",
-        EventKind::L2Miss { .. } => "l2_miss",
-        EventKind::L2Fill { .. } => "l2_fill",
-        EventKind::RetireSample { .. } => "retire_sample",
-        EventKind::EstimatorUpdate { .. } => "estimator_update",
-        EventKind::DeficitGrant { .. } => "deficit_grant",
-        EventKind::DeficitForce { .. } => "deficit_force",
-        EventKind::CycleQuotaExpiry { .. } => "cycle_quota_expiry",
-    }
 }
 
 /// Checks the structural invariants of an in-memory trace.
@@ -336,6 +321,7 @@ mod tests {
     use super::*;
     use crate::obs::trace_jsonl;
     use soe_sim::SwitchReason;
+    use std::collections::BTreeSet;
 
     fn ev(at: Cycle, kind: EventKind) -> TraceEvent {
         TraceEvent { at, kind }
@@ -461,14 +447,64 @@ mod tests {
         assert!(check_events(&t).unwrap_err().contains("decreased"));
     }
 
+    /// One event of each of the nine kinds, with both `quota` forms of
+    /// `EstimatorUpdate` and non-terminating floats.
+    fn every_kind_trace() -> Trace {
+        let t1 = ThreadId::new(1);
+        let kinds = [
+            EventKind::SwitchIn { tid: t1 },
+            EventKind::SwitchOut {
+                tid: t1,
+                reason: SwitchReason::Forced,
+            },
+            EventKind::L2Miss { line: 0x1c0 },
+            EventKind::L2Fill { line: 0x1c0 },
+            EventKind::RetireSample { retired: 7 },
+            EventKind::EstimatorUpdate {
+                tid: t1,
+                ipc_st: 1.0 / 3.0,
+                quota: None,
+            },
+            EventKind::EstimatorUpdate {
+                tid: t1,
+                ipc_st: 2.5,
+                quota: Some(2.0f64.sqrt()),
+            },
+            EventKind::DeficitGrant {
+                tid: t1,
+                credited: 0.1,
+                balance: -0.25,
+                quota: 12.0,
+            },
+            EventKind::DeficitForce { tid: t1 },
+            EventKind::CycleQuotaExpiry { tid: t1 },
+        ];
+        Trace {
+            events: kinds
+                .into_iter()
+                .enumerate()
+                .map(|(i, kind)| ev(10 * i as Cycle, kind))
+                .collect(),
+            dropped: 3,
+        }
+    }
+
     #[test]
     fn jsonl_round_trips_exactly() {
-        let trace = valid_trace();
-        let text = trace_jsonl(&trace, &["gcc", "eon"]);
-        let parsed = parse_jsonl(&text).unwrap();
-        assert_eq!(parsed.threads, vec!["gcc", "eon"]);
-        assert_eq!(parsed.trace, trace);
-        assert_eq!(trace_jsonl(&parsed.trace, &["gcc", "eon"]), text);
+        let every_kind = every_kind_trace();
+        let labels: BTreeSet<&str> = every_kind
+            .events
+            .iter()
+            .map(|e| kind_label(&e.kind))
+            .collect();
+        assert_eq!(labels.len(), 9, "the fixture covers every kind: {labels:?}");
+        for trace in [valid_trace(), every_kind] {
+            let text = trace_jsonl(&trace, &["gcc", "eon"]);
+            let parsed = parse_jsonl(&text).unwrap();
+            assert_eq!(parsed.threads, vec!["gcc", "eon"]);
+            assert_eq!(parsed.trace, trace);
+            assert_eq!(trace_jsonl(&parsed.trace, &["gcc", "eon"]), text);
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@ use std::fmt::Write as _;
 use soe_sim::obs::{EventKind, Trace};
 use soe_stats::TimeSeries;
 
-use crate::obs::{fmt_f64, reason_label};
+use crate::obs::{fmt_f64, kind_label, reason_label};
 
 /// Escapes a string for embedding inside JSON double quotes.
 fn json_escape(s: &str) -> String {
@@ -36,22 +36,19 @@ fn json_escape(s: &str) -> String {
 
 /// Serializes one event body (everything after the `"at"` field).
 fn event_body(kind: &EventKind) -> String {
-    match kind {
+    let fields = match kind {
         EventKind::SwitchOut { tid, reason } => format!(
-            "\"kind\":\"switch_out\",\"tid\":{},\"reason\":\"{}\"",
+            ",\"tid\":{},\"reason\":\"{}\"",
             tid.index(),
             reason_label(*reason)
         ),
-        EventKind::SwitchIn { tid } => {
-            format!("\"kind\":\"switch_in\",\"tid\":{}", tid.index())
-        }
-        EventKind::L2Miss { line } => format!("\"kind\":\"l2_miss\",\"line\":{line}"),
-        EventKind::L2Fill { line } => format!("\"kind\":\"l2_fill\",\"line\":{line}"),
-        EventKind::RetireSample { retired } => {
-            format!("\"kind\":\"retire_sample\",\"retired\":{retired}")
-        }
+        EventKind::SwitchIn { tid }
+        | EventKind::DeficitForce { tid }
+        | EventKind::CycleQuotaExpiry { tid } => format!(",\"tid\":{}", tid.index()),
+        EventKind::L2Miss { line } | EventKind::L2Fill { line } => format!(",\"line\":{line}"),
+        EventKind::RetireSample { retired } => format!(",\"retired\":{retired}"),
         EventKind::EstimatorUpdate { tid, ipc_st, quota } => format!(
-            "\"kind\":\"estimator_update\",\"tid\":{},\"ipc_st\":{},\"quota\":{}",
+            ",\"tid\":{},\"ipc_st\":{},\"quota\":{}",
             tid.index(),
             fmt_f64(*ipc_st),
             quota.map_or_else(|| "null".to_string(), fmt_f64),
@@ -62,19 +59,14 @@ fn event_body(kind: &EventKind) -> String {
             balance,
             quota,
         } => format!(
-            "\"kind\":\"deficit_grant\",\"tid\":{},\"credited\":{},\"balance\":{},\"quota\":{}",
+            ",\"tid\":{},\"credited\":{},\"balance\":{},\"quota\":{}",
             tid.index(),
             fmt_f64(*credited),
             fmt_f64(*balance),
             fmt_f64(*quota),
         ),
-        EventKind::DeficitForce { tid } => {
-            format!("\"kind\":\"deficit_force\",\"tid\":{}", tid.index())
-        }
-        EventKind::CycleQuotaExpiry { tid } => {
-            format!("\"kind\":\"cycle_quota_expiry\",\"tid\":{}", tid.index())
-        }
-    }
+    };
+    format!("\"kind\":\"{}\"{fields}", kind_label(kind))
 }
 
 /// Serializes a trace as compact JSONL: a header object on the first
@@ -150,16 +142,13 @@ pub fn chrome_trace(trace: &Trace, threads: &[&str]) -> String {
                     ));
                 }
             }
-            EventKind::L2Miss { .. } => instant(&mut records, "l2_miss", e.at, mem_lane),
-            EventKind::L2Fill { .. } => instant(&mut records, "l2_fill", e.at, mem_lane),
-            EventKind::DeficitForce { tid } => {
-                instant(&mut records, "deficit_force", e.at, tid.index())
+            EventKind::L2Miss { .. } | EventKind::L2Fill { .. } => {
+                instant(&mut records, kind_label(&e.kind), e.at, mem_lane)
             }
-            EventKind::CycleQuotaExpiry { tid } => {
-                instant(&mut records, "cycle_quota_expiry", e.at, tid.index())
-            }
-            EventKind::EstimatorUpdate { tid, .. } => {
-                instant(&mut records, "estimator_update", e.at, tid.index())
+            EventKind::DeficitForce { tid }
+            | EventKind::CycleQuotaExpiry { tid }
+            | EventKind::EstimatorUpdate { tid, .. } => {
+                instant(&mut records, kind_label(&e.kind), e.at, tid.index())
             }
             EventKind::RetireSample { retired } => {
                 records.push(format!(

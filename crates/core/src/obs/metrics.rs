@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 use soe_sim::obs::{EventKind, Trace};
 
 use crate::metrics::PairRun;
-use crate::obs::fmt_f64;
+use crate::obs::{fmt_f64, kind_label};
 
 /// The registry: named counters and gauges.
 ///
@@ -22,8 +22,10 @@ use crate::obs::fmt_f64;
 /// let mut m = MetricsRegistry::new();
 /// m.inc("events.l2_miss", 3);
 /// m.set_gauge("fairness", 0.82);
-/// let csv = m.to_csv();
-/// assert_eq!(MetricsRegistry::from_csv(&csv).unwrap(), m);
+/// assert_eq!(
+///     m.to_csv(),
+///     "kind,name,value\ncounter,events.l2_miss,3\ngauge,fairness,0.82\n"
+/// );
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsRegistry {
@@ -45,16 +47,6 @@ impl MetricsRegistry {
     /// Sets the named gauge.
     pub fn set_gauge(&mut self, name: &str, value: f64) {
         self.gauges.insert(name.to_string(), value);
-    }
-
-    /// Reads a counter (`None` if never incremented).
-    pub fn counter(&self, name: &str) -> Option<u64> {
-        self.counters.get(name).copied()
-    }
-
-    /// Reads a gauge.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).copied()
     }
 
     /// Number of entries (counters + gauges).
@@ -89,53 +81,6 @@ impl MetricsRegistry {
         }
         out
     }
-
-    /// Parses the [`MetricsRegistry::to_csv`] format. Round-trips
-    /// exactly: counters are integers and gauges use the shortest
-    /// `f64` representation.
-    ///
-    /// # Errors
-    ///
-    /// A descriptive message naming the first malformed line.
-    pub fn from_csv(text: &str) -> Result<Self, String> {
-        let mut lines = text.lines().enumerate();
-        match lines.next() {
-            Some((_, "kind,name,value")) => {}
-            other => {
-                return Err(format!(
-                    "metrics csv: expected header 'kind,name,value', got {:?}",
-                    other.map(|(_, l)| l)
-                ))
-            }
-        }
-        let mut reg = Self::new();
-        for (i, line) in lines {
-            if line.is_empty() {
-                continue;
-            }
-            let mut parts = line.splitn(3, ',');
-            let (kind, name, value) = match (parts.next(), parts.next(), parts.next()) {
-                (Some(k), Some(n), Some(v)) => (k, n, v),
-                _ => return Err(format!("metrics csv line {}: expected 3 fields", i + 1)),
-            };
-            match kind {
-                "counter" => {
-                    let v = value.parse::<u64>().map_err(|_| {
-                        format!("metrics csv line {}: bad counter {value:?}", i + 1)
-                    })?;
-                    reg.counters.insert(name.to_string(), v);
-                }
-                "gauge" => {
-                    let v = value
-                        .parse::<f64>()
-                        .map_err(|_| format!("metrics csv line {}: bad gauge {value:?}", i + 1))?;
-                    reg.gauges.insert(name.to_string(), v);
-                }
-                _ => return Err(format!("metrics csv line {}: unknown kind {kind:?}", i + 1)),
-            }
-        }
-        Ok(reg)
-    }
 }
 
 /// Event-stream aggregates: total events, drops, per-kind counts, and
@@ -145,17 +90,18 @@ pub fn from_trace(trace: &Trace) -> MetricsRegistry {
     m.inc("trace.events", trace.events.len() as u64);
     m.inc("trace.dropped", trace.dropped);
     for e in &trace.events {
-        let (kind, tid) = match e.kind {
-            EventKind::SwitchOut { tid, .. } => ("switch_out", Some(tid)),
-            EventKind::SwitchIn { tid } => ("switch_in", Some(tid)),
-            EventKind::L2Miss { .. } => ("l2_miss", None),
-            EventKind::L2Fill { .. } => ("l2_fill", None),
-            EventKind::RetireSample { .. } => ("retire_sample", None),
-            EventKind::EstimatorUpdate { tid, .. } => ("estimator_update", Some(tid)),
-            EventKind::DeficitGrant { tid, .. } => ("deficit_grant", Some(tid)),
-            EventKind::DeficitForce { tid } => ("deficit_force", Some(tid)),
-            EventKind::CycleQuotaExpiry { tid } => ("cycle_quota_expiry", Some(tid)),
+        let tid = match e.kind {
+            EventKind::SwitchOut { tid, .. }
+            | EventKind::SwitchIn { tid }
+            | EventKind::EstimatorUpdate { tid, .. }
+            | EventKind::DeficitGrant { tid, .. }
+            | EventKind::DeficitForce { tid }
+            | EventKind::CycleQuotaExpiry { tid } => Some(tid),
+            EventKind::L2Miss { .. }
+            | EventKind::L2Fill { .. }
+            | EventKind::RetireSample { .. } => None,
         };
+        let kind = kind_label(&e.kind);
         m.inc(&format!("events.{kind}"), 1);
         if let Some(tid) = tid {
             m.inc(&format!("thread.{tid}.{kind}"), 1);
@@ -189,7 +135,7 @@ pub fn from_pair_run(run: &PairRun) -> MetricsRegistry {
 mod tests {
     use super::*;
     use soe_sim::obs::TraceEvent;
-    use soe_sim::ThreadId;
+    use soe_sim::{SwitchReason, ThreadId};
 
     #[test]
     fn counters_add_and_gauges_overwrite_on_merge() {
@@ -200,29 +146,26 @@ mod tests {
         b.inc("n", 3);
         b.set_gauge("g", 2.5);
         a.merge(&b);
-        assert_eq!(a.counter("n"), Some(5));
-        assert_eq!(a.gauge("g"), Some(2.5));
+        assert_eq!(a.counters.get("n"), Some(&5));
+        assert_eq!(a.gauges.get("g"), Some(&2.5));
     }
 
     #[test]
-    fn csv_round_trips_exactly() {
+    fn to_csv_output_is_pinned() {
         let mut m = MetricsRegistry::new();
         m.inc("run.cycles", 1_200_000);
+        m.inc("events.l2_miss", 3);
         m.set_gauge("run.fairness", 1.0 / 3.0);
         m.set_gauge("thread.T0.ipc_st", 2.0f64.sqrt());
-        let csv = m.to_csv();
-        let back = MetricsRegistry::from_csv(&csv).unwrap();
-        assert_eq!(back, m);
-        assert_eq!(back.to_csv(), csv, "re-serialization is byte-identical");
-    }
-
-    #[test]
-    fn from_csv_rejects_malformed_input() {
-        assert!(MetricsRegistry::from_csv("").is_err());
-        assert!(MetricsRegistry::from_csv("bogus header\n").is_err());
-        assert!(MetricsRegistry::from_csv("kind,name,value\ncounter,x\n").is_err());
-        assert!(MetricsRegistry::from_csv("kind,name,value\ncounter,x,1.5\n").is_err());
-        assert!(MetricsRegistry::from_csv("kind,name,value\nblob,x,1\n").is_err());
+        assert_eq!(
+            m.to_csv(),
+            "kind,name,value\n\
+             counter,events.l2_miss,3\n\
+             counter,run.cycles,1200000\n\
+             gauge,run.fairness,0.3333333333333333\n\
+             gauge,thread.T0.ipc_st,1.4142135623730951\n"
+        );
+        assert_eq!(MetricsRegistry::new().to_csv(), "kind,name,value\n");
     }
 
     #[test]
@@ -246,10 +189,67 @@ mod tests {
             dropped: 0,
         };
         let m = from_trace(&trace);
-        assert_eq!(m.counter("trace.events"), Some(3));
-        assert_eq!(m.counter("events.switch_in"), Some(1));
-        assert_eq!(m.counter("thread.T0.switch_in"), Some(1));
-        assert_eq!(m.counter("events.l2_miss"), Some(1));
-        assert_eq!(m.counter("events.l2_fill"), Some(1));
+        let counter = |name: &str| m.counters.get(name).copied();
+        assert_eq!(counter("trace.events"), Some(3));
+        assert_eq!(counter("events.switch_in"), Some(1));
+        assert_eq!(counter("thread.T0.switch_in"), Some(1));
+        assert_eq!(counter("events.l2_miss"), Some(1));
+        assert_eq!(counter("events.l2_fill"), Some(1));
+    }
+
+    #[test]
+    fn trace_metrics_count_every_kind_label() {
+        let t1 = ThreadId::new(1);
+        let kinds = [
+            EventKind::SwitchOut {
+                tid: t1,
+                reason: SwitchReason::MissEvent,
+            },
+            EventKind::SwitchIn { tid: t1 },
+            EventKind::L2Miss { line: 0x80 },
+            EventKind::L2Fill { line: 0x80 },
+            EventKind::RetireSample { retired: 10 },
+            EventKind::EstimatorUpdate {
+                tid: t1,
+                ipc_st: 1.5,
+                quota: None,
+            },
+            EventKind::DeficitGrant {
+                tid: t1,
+                credited: 2.0,
+                balance: 1.0,
+                quota: 4.0,
+            },
+            EventKind::DeficitForce { tid: t1 },
+            EventKind::CycleQuotaExpiry { tid: t1 },
+        ];
+        let trace = Trace {
+            events: kinds
+                .iter()
+                .enumerate()
+                .map(|(i, &kind)| TraceEvent { at: i as u64, kind })
+                .collect(),
+            dropped: 0,
+        };
+        let m = from_trace(&trace);
+        let labels = [
+            ("switch_out", true),
+            ("switch_in", true),
+            ("l2_miss", false),
+            ("l2_fill", false),
+            ("retire_sample", false),
+            ("estimator_update", true),
+            ("deficit_grant", true),
+            ("deficit_force", true),
+            ("cycle_quota_expiry", true),
+        ];
+        for (kind, (label, per_thread)) in kinds.iter().zip(labels) {
+            assert_eq!(kind_label(kind), label);
+            assert_eq!(m.counters.get(&format!("events.{label}")), Some(&1));
+            let thread = m.counters.get(&format!("thread.T1.{label}")).copied();
+            assert_eq!(thread, per_thread.then_some(1), "{label}");
+        }
+        // Two trace totals, nine kinds, six of them per thread.
+        assert_eq!(m.counters.len(), 2 + 9 + 6);
     }
 }

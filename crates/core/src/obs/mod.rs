@@ -23,7 +23,26 @@ pub use check::{check_events, check_jsonl, parse_jsonl, ParsedTrace, TraceSummar
 pub use export::{chrome_trace, trace_jsonl, trace_series};
 pub use metrics::MetricsRegistry;
 
+use soe_sim::obs::EventKind;
 use soe_sim::SwitchReason;
+
+/// Stable wire label of an event kind: the `kind` field of trace JSONL,
+/// the Chrome trace's instant-event names and the `events.*` counters of
+/// `metrics.csv` all use it, so the mapping cannot drift between them.
+/// `check::parse_event` is its inverse.
+pub(crate) fn kind_label(kind: &EventKind) -> &'static str {
+    match kind {
+        EventKind::SwitchOut { .. } => "switch_out",
+        EventKind::SwitchIn { .. } => "switch_in",
+        EventKind::L2Miss { .. } => "l2_miss",
+        EventKind::L2Fill { .. } => "l2_fill",
+        EventKind::RetireSample { .. } => "retire_sample",
+        EventKind::EstimatorUpdate { .. } => "estimator_update",
+        EventKind::DeficitGrant { .. } => "deficit_grant",
+        EventKind::DeficitForce { .. } => "deficit_force",
+        EventKind::CycleQuotaExpiry { .. } => "cycle_quota_expiry",
+    }
+}
 
 /// Stable wire label of a switch reason (used by every exporter and the
 /// parser, so the mapping cannot drift between them).

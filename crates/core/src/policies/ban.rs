@@ -88,24 +88,16 @@ impl UsageFairPolicy {
     }
 
     /// Decayed per-thread service in occupancy cycles.
+    // soe-lint: allow(dead-pub): tests/policy_conformance.rs
     pub fn service(&self) -> &[f64] {
         &self.service
     }
 
     /// Un-decayed occupancy cycles accounted since the last
     /// measurement-window reset.
+    // soe-lint: allow(dead-pub): tests/policy_conformance.rs
     pub fn occupied_total(&self) -> u64 {
         self.occupied_total
-    }
-
-    /// Rotation skips due to bans since the last reset.
-    pub fn bans(&self) -> u64 {
-        self.bans
-    }
-
-    /// Cycle-quota forced switches since the last reset.
-    pub fn forced_by_quota(&self) -> u64 {
-        self.forced_by_quota
     }
 
     /// The occupancy cycle quota.
@@ -211,7 +203,7 @@ mod tests {
             Some(ThreadId::new(1)),
             "the hog is skipped"
         );
-        assert!(p.bans() >= 1);
+        assert!(p.bans >= 1);
         // Once the others accumulate comparable service, 0 is unbanned.
         for _ in 0..10 {
             now = serve(&mut p, 1, now, 1_000);
@@ -238,7 +230,7 @@ mod tests {
             p.pick_next(ThreadId::new(1), 3, now),
             Some(ThreadId::new(2))
         );
-        assert_eq!(p.bans(), 0);
+        assert_eq!(p.bans, 0);
     }
 
     #[test]
@@ -287,7 +279,7 @@ mod tests {
             SwitchDecision::Continue
         );
         assert_eq!(p.each_cycle(ThreadId::new(0), 600), SwitchDecision::Switch);
-        assert_eq!(p.forced_by_quota(), 1);
+        assert_eq!(p.forced_by_quota, 1);
         assert_eq!(p.next_decision_at(ThreadId::new(0), 100), Some(600));
     }
 }

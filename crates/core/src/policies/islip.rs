@@ -68,24 +68,15 @@ impl IslipPolicy {
 
     /// Grants issued (switch-ins accepted) since the last
     /// measurement-window reset.
+    // soe-lint: allow(dead-pub): tests/policy_conformance.rs
     pub fn grants(&self) -> u64 {
         self.grants
     }
 
-    /// Busy contexts skipped while scanning for a grant since the last
-    /// measurement-window reset.
-    pub fn busy_skips(&self) -> u64 {
-        self.busy_skips
-    }
-
     /// The current accept pointer (index of the last granted context).
+    // soe-lint: allow(dead-pub): tests/policy_conformance.rs
     pub fn grant_ptr(&self) -> usize {
         self.grant_ptr
-    }
-
-    /// Slice-expiry forced switches since the last reset.
-    pub fn forced_by_slice(&self) -> u64 {
-        self.forced_by_slice
     }
 
     /// The occupancy slice in cycles.
@@ -198,7 +189,7 @@ mod tests {
             Some(ThreadId::new(2)),
             "context 1 is busy, grant skips to 2"
         );
-        assert_eq!(p.busy_skips(), 1);
+        assert_eq!(p.busy_skips, 1);
         // After the miss drains it is granted again.
         assert_eq!(
             p.pick_next(ThreadId::new(0), 4, 400),
@@ -226,7 +217,7 @@ mod tests {
             p.each_cycle(ThreadId::new(0), 1_500),
             SwitchDecision::Switch
         );
-        assert_eq!(p.forced_by_slice(), 1);
+        assert_eq!(p.forced_by_slice, 1);
         assert_eq!(p.next_decision_at(ThreadId::new(0), 1_000), Some(1_500));
     }
 

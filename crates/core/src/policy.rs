@@ -197,6 +197,7 @@ impl FairnessPolicy {
     }
 
     /// The paper-parameter mechanism at target `f`.
+    // soe-lint: allow(dead-pub): tests/determinism.rs and tests/golden.rs
     pub fn paper(threads: usize, f: FairnessLevel) -> Self {
         Self::new(threads, FairnessConfig::paper(f))
     }
@@ -217,21 +218,15 @@ impl FairnessPolicy {
     }
 
     /// Switches forced by deficit exhaustion (fairness quota).
+    // soe-lint: allow(dead-pub): tests/policy_conformance.rs
     pub fn forced_by_deficit(&self) -> u64 {
         self.forced_by_deficit
     }
 
     /// Switches forced by the maximum-cycles quota.
+    // soe-lint: allow(dead-pub): tests/policy_conformance.rs
     pub fn forced_by_cycle_quota(&self) -> u64 {
         self.forced_by_cycle_quota
-    }
-
-    /// The event latency currently used by the estimator.
-    pub fn effective_miss_lat(&self) -> f64 {
-        match self.cfg.miss_lat_mode {
-            MissLatencyMode::Fixed => self.cfg.miss_lat,
-            MissLatencyMode::Measured => self.measured_lat,
-        }
     }
 
     fn recalc(&mut self, now: Cycle) {
@@ -576,14 +571,16 @@ mod tests {
                 ..FairnessConfig::paper(FairnessLevel::HALF)
             },
         );
-        assert_eq!(p.effective_miss_lat(), 300.0);
+        p.recalc(0);
+        assert_eq!(p.estimator.miss_lat(), 300.0);
         for _ in 0..500 {
             p.observe_miss_latency(ThreadId::new(0), 100);
         }
+        p.recalc(10_000);
         assert!(
-            (p.effective_miss_lat() - 100.0).abs() < 5.0,
+            (p.estimator.miss_lat() - 100.0).abs() < 5.0,
             "EWMA should converge to the observed latency: {}",
-            p.effective_miss_lat()
+            p.estimator.miss_lat()
         );
     }
 
@@ -593,7 +590,8 @@ mod tests {
         for _ in 0..500 {
             p.observe_miss_latency(ThreadId::new(0), 100);
         }
-        assert_eq!(p.effective_miss_lat(), 300.0);
+        p.recalc(10_000);
+        assert_eq!(p.estimator.miss_lat(), 300.0);
     }
 
     #[test]

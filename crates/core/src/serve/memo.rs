@@ -12,6 +12,8 @@
 
 use std::path::{Path, PathBuf};
 
+use soe_workloads::hash::fnv1a64;
+
 use crate::supervise::atomic_write;
 
 /// The outcome of a cache probe.
@@ -50,6 +52,7 @@ impl MemoCache {
     }
 
     /// The cache directory.
+    // soe-lint: allow(dead-pub): memo.rs's corruption tests locate entry files with it
     pub fn dir(&self) -> &Path {
         &self.dir
     }
@@ -100,15 +103,6 @@ impl MemoCache {
         let line = format!("{:016x} {payload}\n", fnv1a64(payload.as_bytes()));
         atomic_write(&self.entry_path(key), line.as_bytes())
     }
-}
-
-pub(super) fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        hash ^= u64::from(*b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 #[cfg(test)]

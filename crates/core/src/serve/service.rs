@@ -41,6 +41,7 @@ use std::time::{Duration, Instant};
 
 use serde::Value;
 use soe_model::FairnessLevel;
+use soe_workloads::hash::fnv1a64;
 use soe_workloads::pairs::THREAD_BASE_STRIDE;
 use soe_workloads::Checkpoint;
 
@@ -48,7 +49,7 @@ use crate::metrics::SingleRun;
 use crate::policy::TimeSlicePolicy;
 use crate::registry::PolicyFactory;
 use crate::runner::{run_spec, try_run_single, RunConfig, RunSpec};
-use crate::serve::memo::{fnv1a64, MemoCache, MemoLookup};
+use crate::serve::memo::{MemoCache, MemoLookup};
 use crate::serve::proto::{parse_request, Request, Response, Scenario, ScenarioResult};
 use crate::serve::queue::{FairQueue, QueueDiscipline};
 use crate::serve::slo::{ClientTally, SloReport};

@@ -59,6 +59,7 @@ use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
+use soe_workloads::hash::fnv1a64;
 
 // ---------------------------------------------------------------------------
 // Atomic writes
@@ -138,17 +139,6 @@ fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
 // ---------------------------------------------------------------------------
 // The run journal
 // ---------------------------------------------------------------------------
-
-/// FNV-1a 64-bit — a small, dependency-free checksum for journal
-/// records (corruption detection, not cryptography).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// What [`Journal::open`] found on disk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -697,6 +687,7 @@ impl SuperviseOptions {
 
     /// [`SuperviseOptions::new`] with progress output off (tests,
     /// library callers).
+    // soe-lint: allow(dead-pub): tests/serve.rs and tests/trace_invariants.rs
     pub fn quiet(workers: usize) -> Self {
         Self {
             progress: false,

@@ -8,7 +8,7 @@ use std::path::{Path, PathBuf};
 use crate::baseline::Baseline;
 use crate::diag::{Finding, Waiver};
 use crate::passes::all_passes;
-use crate::rules::{all_rules, Rule};
+use crate::rules::all_rules;
 use crate::source::SourceFile;
 use crate::suppress::{parse_suppressions, Suppression};
 use crate::workspace::Workspace;
@@ -64,25 +64,6 @@ fn suppressed(sup: &[Suppression], f: &Finding) -> bool {
     })
 }
 
-/// Analyzes one file's content against `rules`, applying inline
-/// suppressions (but not the baseline — that is a workspace-level
-/// concern). Public so tests can lint fixture strings directly.
-/// Workspace passes are not run here; see [`analyze_files`].
-pub fn analyze_source(path: &str, content: &str, rules: &[Rule]) -> Vec<Finding> {
-    let file = SourceFile::parse(path, content);
-    let suppressions = parse_suppressions(&file.comments);
-    let mut findings = Vec::new();
-    for rule in rules {
-        for mut f in rule.check(&file) {
-            if suppressed(&suppressions, &f) {
-                f.waiver = Waiver::Suppressed;
-            }
-            findings.push(f);
-        }
-    }
-    findings
-}
-
 /// Lists every `.rs` file under `root` that the lint pass covers, as
 /// workspace-relative `/`-separated paths, sorted (the walk order is
 /// part of the tool's determinism contract).
@@ -124,13 +105,8 @@ pub fn relative_path(root: &Path, path: &Path) -> String {
     parts.join("/")
 }
 
-/// Runs the full pass over the workspace at `root`.
-pub fn analyze_workspace(root: &Path, baseline: &Baseline) -> std::io::Result<Analysis> {
-    analyze_workspace_filtered(root, baseline, None)
-}
-
-/// Like [`analyze_workspace`] but optionally restricted to one rule or
-/// pass id (`--rule`).
+/// Runs the full pass over the workspace at `root`, optionally
+/// restricted to one rule or pass id (`--rule`).
 pub fn analyze_workspace_filtered(
     root: &Path,
     baseline: &Baseline,
@@ -240,7 +216,12 @@ mod tests {
                    x.unwrap();\n\
                    y.unwrap();\n\
                    }\n";
-        let findings = analyze_source("crates/sim/src/x.rs", src, &all_rules());
+        let findings = analyze_files(
+            &[("crates/sim/src/x.rs", src)],
+            &Baseline::default(),
+            Some("panic-unwrap"),
+        )
+        .findings;
         let unwraps: Vec<&Finding> = findings
             .iter()
             .filter(|f| f.rule == "panic-unwrap")
@@ -260,7 +241,12 @@ mod tests {
                    // soe-lint: allow(slice-index): wrong rule\n\
                    x.unwrap();\n\
                    }\n";
-        let findings = analyze_source("crates/sim/src/x.rs", src, &all_rules());
+        let findings = analyze_files(
+            &[("crates/sim/src/x.rs", src)],
+            &Baseline::default(),
+            Some("panic-unwrap"),
+        )
+        .findings;
         let f = findings.iter().find(|f| f.rule == "panic-unwrap").unwrap();
         assert_eq!(f.waiver, Waiver::None);
     }

@@ -8,7 +8,8 @@
 //! stream:
 //!
 //! - `fn` items with their enclosing `impl` type (trait impls resolve to
-//!   the `Self` type after `for`), signature, and brace-matched body;
+//!   the `Self` type after `for`), visibility, whether the impl is a
+//!   trait impl, signature, and brace-matched body;
 //! - call expressions inside bodies: bare calls (`foo(`), qualified
 //!   calls (`Type::foo(`, `module::foo(`), method calls (`.foo(`) and
 //!   qualified fn references passed without parentheses (`Type::foo`);
@@ -118,6 +119,11 @@ pub struct FnItem {
     pub line: u32,
     /// Whether the signature's first parameter is a form of `self`.
     pub has_self: bool,
+    /// Whether the fn is declared plain `pub` (not `pub(crate)`,
+    /// `pub(super)` or `pub(in …)`).
+    pub is_pub: bool,
+    /// Whether the fn sits in an `impl Trait for Type` block.
+    pub in_trait_impl: bool,
     /// Whether the definition sits in test code (per the source file's
     /// test-line map) — test fns stay out of the call graph.
     pub is_test: bool,
@@ -197,7 +203,16 @@ pub struct ParsedItems {
 /// 1-based line is test code (see `SourceFile::is_test_line`).
 pub fn parse_items(tokens: &[Token], is_test_line: &dyn Fn(u32) -> bool) -> ParsedItems {
     let mut out = ParsedItems::default();
-    scan_block(tokens, 0, tokens.len(), None, is_test_line, &mut out, 0);
+    scan_block(
+        tokens,
+        0,
+        tokens.len(),
+        None,
+        false,
+        is_test_line,
+        &mut out,
+        0,
+    );
     out
 }
 
@@ -206,13 +221,14 @@ pub fn parse_items(tokens: &[Token], is_test_line: &dyn Fn(u32) -> bool) -> Pars
 const MAX_DEPTH: usize = 64;
 
 /// Scans `tokens[from..to]` for items, with `owner` as the enclosing
-/// impl type (if any).
+/// impl type (if any) and `trait_impl` set inside `impl Trait for Type`.
 #[allow(clippy::too_many_arguments)]
 fn scan_block(
     tokens: &[Token],
     from: usize,
     to: usize,
     owner: Option<&str>,
+    trait_impl: bool,
     is_test_line: &dyn Fn(u32) -> bool,
     out: &mut ParsedItems,
     depth: usize,
@@ -267,12 +283,12 @@ fn scan_block(
             }
             if tokens.get(j).is_some_and(|t| t.is_punct('{')) {
                 let end = match_brace(tokens, j, to);
-                let _ = saw_for;
                 scan_block(
                     tokens,
                     j + 1,
                     end.saturating_sub(1),
                     self_ty.as_deref(),
+                    saw_for,
                     is_test_line,
                     out,
                     depth + 1,
@@ -289,13 +305,14 @@ fn scan_block(
                 i + 3,
                 end.saturating_sub(1),
                 None,
+                false,
                 is_test_line,
                 out,
                 depth + 1,
             );
             i = end;
         } else if t.is_ident("fn") {
-            i = parse_fn(tokens, i, to, owner, is_test_line, out);
+            i = parse_fn(tokens, i, to, owner, trait_impl, is_test_line, out);
         } else if t.is_ident("struct") {
             i = parse_struct(tokens, i, to, out);
         } else if t.is_ident("enum") {
@@ -313,6 +330,7 @@ fn parse_fn(
     i: usize,
     to: usize,
     owner: Option<&str>,
+    in_trait_impl: bool,
     is_test_line: &dyn Fn(u32) -> bool,
     out: &mut ParsedItems,
 ) -> usize {
@@ -369,6 +387,8 @@ fn parse_fn(
         owner: owner.map(str::to_string),
         line,
         has_self,
+        is_pub: is_plain_pub(tokens, i),
+        in_trait_impl,
         is_test: is_test_line(line),
         body,
         params,
@@ -378,6 +398,26 @@ fn parse_fn(
         iters,
     });
     k.max(i + 1)
+}
+
+/// Whether the `fn` keyword at `i` is preceded by a plain `pub`,
+/// looking back over the `const`/`async`/`unsafe`/`extern "ABI"`
+/// qualifiers. `pub(crate) fn` ends in `)` before the qualifiers, so it
+/// is not plain.
+fn is_plain_pub(tokens: &[Token], i: usize) -> bool {
+    let mut j = i;
+    while j > 0 {
+        j -= 1;
+        let t = &tokens[j];
+        let qualifier = ["const", "async", "unsafe", "extern"]
+            .iter()
+            .any(|q| t.is_ident(q))
+            || (t.kind == TokenKind::Literal && j > 0 && tokens[j - 1].is_ident("extern"));
+        if !qualifier {
+            return t.is_ident("pub");
+        }
+    }
+    false
 }
 
 /// Parses one `struct` starting at the keyword; returns the resume index.
@@ -905,6 +945,36 @@ mod tests {
             p.fns[1].qualified(),
             "SimError::fmt",
             "trait impl owner is the Self type"
+        );
+    }
+
+    #[test]
+    fn visibility_and_trait_impls() {
+        let p = parse(
+            "pub fn a() {}\npub(crate) fn b() {}\npub const unsafe fn c() {}\n\
+             pub extern \"C\" fn d() {}\nfn e() {}\n\
+             impl S { pub fn f(&self) {} pub(super) fn g() {} }\n\
+             impl<T> Display for S<T> { fn fmt(&self) {} }\n\
+             mod m { pub fn h() {} }",
+        );
+        let facts: Vec<(&str, bool, bool)> = p
+            .fns
+            .iter()
+            .map(|f| (f.name.as_str(), f.is_pub, f.in_trait_impl))
+            .collect();
+        assert_eq!(
+            facts,
+            vec![
+                ("a", true, false),
+                ("b", false, false),
+                ("c", true, false),
+                ("d", true, false),
+                ("e", false, false),
+                ("f", true, false),
+                ("g", false, false),
+                ("fmt", false, true),
+                ("h", true, false),
+            ]
         );
     }
 

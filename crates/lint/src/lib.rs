@@ -43,10 +43,7 @@ pub mod workspace;
 
 pub use baseline::Baseline;
 pub use diag::{summarize, Finding, Severity, Summary, TrailStep, Waiver};
-pub use engine::{
-    analyze_files, analyze_source, analyze_workspace, analyze_workspace_filtered, build_workspace,
-    Analysis,
-};
+pub use engine::{analyze_files, analyze_workspace_filtered, build_workspace, Analysis};
 pub use passes::{all_passes, Pass, HOT_PATH_ROOTS, SCHEMA_ENUMS, SERIALIZATION_SINKS};
 pub use rules::{all_rules, Rule};
 pub use source::SourceFile;

@@ -80,7 +80,7 @@ const SIM_CORE: &[&str] = &["crates/sim/src/", "crates/core/src/"];
 pub struct Pass {
     /// Stable id, used in suppressions and the baseline.
     pub id: &'static str,
-    /// Pass category (`determinism`, `panic-safety`, `schema`).
+    /// Pass category (`determinism`, `panic-safety`, `schema`, `dead-code`).
     pub category: &'static str,
     /// Nominal severity (individual findings may downgrade).
     pub severity: Severity,
@@ -146,6 +146,15 @@ pub fn all_passes() -> Vec<Pass> {
                           Response) must handle all variants explicitly, so a new \
                           variant cannot silently skip an exporter or oracle",
             check: check_trace_schema_coverage,
+        },
+        Pass {
+            id: "dead-pub",
+            category: "dead-code",
+            severity: Severity::Error,
+            description: "every `pub` fn must be reachable from a shipped entry point \
+                          (a non-test `fn main`, an example, or a trait-impl method); \
+                          rustc's dead_code lint cannot see unused `pub` items",
+            check: check_dead_pub,
         },
         Pass {
             id: "unordered-iteration",
@@ -510,6 +519,58 @@ fn check_trace_schema_coverage(ws: &Workspace, pass: &Pass) -> Vec<Finding> {
         }
     }
     out
+}
+
+// ---------------------------------------------------------------------------
+// dead-pub
+// ---------------------------------------------------------------------------
+
+/// The entry points a shipped program starts from: every non-test free
+/// `fn main` (binaries, soe-lint, the detached packages), every method of
+/// an `impl Trait for Type` block (called through the trait, which the
+/// graph cannot follow), and whatever the `examples/` files call. Examples
+/// are test code to the graph, so their fns are not nodes; their call
+/// sites are resolved directly.
+fn shipped_roots(ws: &Workspace) -> Vec<usize> {
+    let mut roots: Vec<usize> = (0..ws.fns.len())
+        .filter(|&i| {
+            let f = &ws.fns[i].item;
+            f.in_trait_impl || (f.owner.is_none() && f.name == "main")
+        })
+        .collect();
+    for unit in ws
+        .files
+        .iter()
+        .filter(|u| u.source.path.starts_with("examples/"))
+    {
+        for call in unit.items.fns.iter().flat_map(|f| &f.calls) {
+            roots.extend(ws.resolve(call, &unit.source.path));
+        }
+    }
+    roots
+}
+
+fn check_dead_pub(ws: &Workspace, pass: &Pass) -> Vec<Finding> {
+    let reach = reach_from(ws, &shipped_roots(ws));
+    (0..ws.fns.len())
+        .filter(|&i| ws.fns[i].item.is_pub && !reach.visited[i])
+        .map(|i| {
+            let item = &ws.fns[i].item;
+            pass.finding(
+                ws.path_of(i),
+                item.line,
+                format!(
+                    "`pub fn {}` is not reachable from any `fn main`, example or \
+                     trait-impl method",
+                    item.qualified()
+                ),
+                "delete it (and the tests that only check it), or, if a test uses it \
+                 as an oracle, keep it with `// soe-lint: allow(dead-pub): <the test \
+                 it serves>`",
+                Vec::new(),
+            )
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -1054,6 +1115,74 @@ mod tests {
         let notes: Vec<&str> = f.trail.iter().map(|s| s.note.as_str()).collect();
         assert!(notes[0].contains("event-ordering sink `Machine::next_wake` runs while tainted"));
         assert!(notes[1].contains("`Machine::next_wake` calls `jitter`"));
+    }
+
+    fn dead_pub_names(files: &[(&str, &str)]) -> Vec<String> {
+        let w = ws(files);
+        run(&w, "dead-pub")
+            .iter()
+            .map(|f| format!("{}:{}", f.file, f.line))
+            .collect()
+    }
+
+    #[test]
+    fn uncalled_pub_fn_is_dead() {
+        let dead = dead_pub_names(&[(
+            "crates/stats/src/lib.rs",
+            "pub fn orphan() {}\nfn private_orphan() {}\npub(crate) fn crate_orphan() {}",
+        )]);
+        assert_eq!(dead, vec!["crates/stats/src/lib.rs:1"]);
+    }
+
+    #[test]
+    fn pub_fns_reached_from_shipped_entry_points_are_live() {
+        let dead = dead_pub_names(&[
+            (
+                "crates/stats/src/lib.rs",
+                "pub fn from_bin() { helper(); }\npub fn helper() {}\n\
+                 pub fn from_perfbench() {}\npub fn from_example() {}\n\
+                 pub struct S;\nimpl Display for S { fn fmt(&self) { via_trait(); } }\n\
+                 pub fn via_trait() {}",
+            ),
+            (
+                "crates/bench/src/bin/figure1.rs",
+                "fn main() { from_bin(); }",
+            ),
+            ("perfbench/src/main.rs", "fn main() { from_perfbench(); }"),
+            ("examples/quickstart.rs", "fn main() { from_example(); }"),
+        ]);
+        assert!(dead.is_empty(), "{dead:?}");
+    }
+
+    #[test]
+    fn pub_fn_called_only_from_tests_is_dead() {
+        let dead = dead_pub_names(&[
+            (
+                "crates/stats/src/lib.rs",
+                "pub fn oracle() {}\n#[cfg(test)]\nmod tests {\n#[test]\nfn t() { oracle(); }\n}",
+            ),
+            ("tests/it.rs", "#[test]\nfn it() { oracle(); }"),
+            (
+                "crates/stats/src/other.rs",
+                "/// ```\n/// oracle();\n/// ```\npub fn documented() {}\nfn main() { documented(); }",
+            ),
+        ]);
+        assert_eq!(dead, vec!["crates/stats/src/lib.rs:1"]);
+    }
+
+    #[test]
+    fn dead_pub_allow_keeps_a_test_oracle() {
+        let a = crate::engine::analyze_files(
+            &[(
+                "crates/stats/src/lib.rs",
+                "// soe-lint: allow(dead-pub): tests/it.rs checks against it\n\
+                 pub fn oracle() {}\npub fn orphan() {}",
+            )],
+            &crate::baseline::Baseline::default(),
+            Some("dead-pub"),
+        );
+        let waivers: Vec<(u32, Waiver)> = a.findings.iter().map(|f| (f.line, f.waiver)).collect();
+        assert_eq!(waivers, vec![(2, Waiver::Suppressed), (3, Waiver::None)]);
     }
 
     #[test]

@@ -34,7 +34,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::items::{parse_items, EnumItem, FnItem, ParsedItems, StructItem};
+use crate::items::{parse_items, CallSite, EnumItem, FnItem, ParsedItems, StructItem};
 use crate::source::SourceFile;
 
 /// Top-level directories holding a Cargo package of its own (with its
@@ -49,13 +49,13 @@ fn detached_package(path: &str) -> Option<&str> {
     DETACHED_PACKAGES.iter().copied().find(|&p| p == top)
 }
 
-/// One analyzed file: its source and the non-`fn` items parsed from it.
+/// One analyzed file: its source and the items parsed from it.
 #[derive(Debug)]
 pub struct FileUnit {
     /// The lexed source (path, tokens, comments, test ranges).
     pub source: SourceFile,
-    /// Structs, enums and match sites (fns are hoisted into
-    /// [`Workspace::fns`]).
+    /// Structs, enums, match sites and the file's test fns (non-test fns
+    /// are hoisted into [`Workspace::fns`]).
     pub items: ParsedItems,
 }
 
@@ -106,12 +106,10 @@ impl Workspace {
         let mut fns: Vec<FnNode> = Vec::new();
         for (fi, source) in sources.into_iter().enumerate() {
             let mut items = parse_items(&source.tokens, &|line| source.is_test_line(line));
-            for item in items.fns.drain(..) {
-                if item.is_test {
-                    continue;
-                }
-                fns.push(FnNode { file: fi, item });
-            }
+            let (tests, live): (Vec<FnItem>, Vec<FnItem>) =
+                items.fns.drain(..).partition(|f| f.is_test);
+            items.fns = tests;
+            fns.extend(live.into_iter().map(|item| FnNode { file: fi, item }));
             files.push(FileUnit { source, items });
         }
 
@@ -137,42 +135,55 @@ impl Workspace {
             }
         }
 
-        let mut callees: Vec<Vec<Edge>> = vec![Vec::new(); fns.len()];
-        let mut callers: Vec<Vec<Edge>> = vec![Vec::new(); fns.len()];
-        let package = |f: &FnNode| detached_package(&files[f.file].source.path);
-        for (i, node) in fns.iter().enumerate() {
-            for call in &node.item.calls {
-                for &target in resolve_call(&by_name, &by_owner, &fns, call).iter() {
-                    let foreign = package(&fns[target]).is_some_and(|p| package(node) != Some(p));
-                    if !foreign && callees[i].iter().all(|e| e.to != target) {
-                        callees[i].push(Edge {
-                            to: target,
-                            line: call.line,
-                        });
-                        callers[target].push(Edge {
-                            to: i,
-                            line: call.line,
-                        });
-                    }
-                }
-            }
-        }
-
-        Self {
+        let n = fns.len();
+        let mut ws = Self {
             files,
             fns,
             by_name,
             by_owner,
             structs,
             enums,
-            callees,
-            callers,
+            callees: vec![Vec::new(); n],
+            callers: vec![Vec::new(); n],
+        };
+        for i in 0..n {
+            let node = &ws.fns[i];
+            let edges: Vec<(usize, u32)> = node
+                .item
+                .calls
+                .iter()
+                .flat_map(|call| {
+                    ws.resolve(call, ws.path_of(i))
+                        .into_iter()
+                        .map(move |target| (target, call.line))
+                })
+                .collect();
+            for (target, line) in edges {
+                if ws.callees[i].iter().all(|e| e.to != target) {
+                    ws.callees[i].push(Edge { to: target, line });
+                    ws.callers[target].push(Edge { to: i, line });
+                }
+            }
         }
+        ws
     }
 
     /// Workspace-relative path of the file a fn lives in.
     pub fn path_of(&self, fn_idx: usize) -> &str {
         &self.files[self.fns[fn_idx].file].source.path
+    }
+
+    /// The workspace fns a call site in the file at `from_path` resolves
+    /// to: the module-level rules plus the detached-package cut. Builds
+    /// the graph's edges, and resolves calls from fns that are not graph
+    /// nodes, such as examples.
+    pub(crate) fn resolve(&self, call: &CallSite, from_path: &str) -> Vec<usize> {
+        let from = detached_package(from_path);
+        resolve_call(&self.by_name, &self.by_owner, &self.fns, call)
+            .iter()
+            .copied()
+            .filter(|&t| detached_package(self.path_of(t)).is_none_or(|p| from == Some(p)))
+            .collect()
     }
 
     /// Resolves a display name — `Owner::name` or a bare `name` — to fn
@@ -205,7 +216,7 @@ impl Workspace {
     /// The struct named `name`, preferring one defined in `near_file`
     /// (the usual case: a fn iterating `self.field` lives next to its
     /// type), else the first definition in walk order.
-    pub fn struct_named(&self, name: &str, near_file: usize) -> Option<&StructItem> {
+    pub(crate) fn struct_named(&self, name: &str, near_file: usize) -> Option<&StructItem> {
         let hits = self.structs.get(name)?;
         let &(fi, si) = hits
             .iter()
@@ -215,6 +226,7 @@ impl Workspace {
     }
 
     /// All definitions of the enum named `name`, in walk order.
+    // soe-lint: allow(dead-pub): tests/self_check.rs; the schema pass reaches it via a fn pointer
     pub fn enums_named(&self, name: &str) -> Vec<(&FileUnit, &EnumItem)> {
         self.enums
             .get(name)
@@ -233,7 +245,7 @@ fn resolve_call<'a>(
     by_name: &'a BTreeMap<String, Vec<usize>>,
     by_owner: &'a BTreeMap<(String, String), Vec<usize>>,
     fns: &[FnNode],
-    call: &crate::items::CallSite,
+    call: &CallSite,
 ) -> std::borrow::Cow<'a, [usize]> {
     use std::borrow::Cow;
     if let Some(q) = &call.qualifier {

@@ -9,7 +9,7 @@ use std::path::{Path, PathBuf};
 
 use soe_lint::baseline::Baseline;
 use soe_lint::diag::{render_text, summarize, Waiver};
-use soe_lint::engine::analyze_workspace;
+use soe_lint::engine::analyze_workspace_filtered;
 
 fn workspace_root() -> PathBuf {
     // crates/lint -> crates -> workspace root.
@@ -32,7 +32,8 @@ fn load_baseline(root: &Path) -> Baseline {
 fn workspace_is_lint_clean() {
     let root = workspace_root();
     let baseline = load_baseline(&root);
-    let analysis = analyze_workspace(&root, &baseline).expect("workspace scan succeeds");
+    let analysis =
+        analyze_workspace_filtered(&root, &baseline, None).expect("workspace scan succeeds");
     assert!(
         analysis.files > 50,
         "scan looks truncated: only {} files",
@@ -176,7 +177,8 @@ fn call_graph_covers_the_simulator_hot_path() {
 fn baseline_if_present_has_no_stale_entries() {
     let root = workspace_root();
     let baseline = load_baseline(&root);
-    let analysis = analyze_workspace(&root, &baseline).expect("workspace scan succeeds");
+    let analysis =
+        analyze_workspace_filtered(&root, &baseline, None).expect("workspace scan succeeds");
     assert!(
         analysis.stale_baseline.is_empty(),
         "stale baseline entries (regenerate with --update-baseline): {:?}",

@@ -98,9 +98,9 @@ pub struct Issuable {
 /// let mut rob = Rob::new(4);
 /// rob.push(0, Uop::new(UopKind::Alu, 0), false);
 /// assert_eq!(rob.len(), 1);
-/// assert!(rob.producer_done(1, 2)); // producers before the window count as done
-/// assert!(!rob.producer_done(1, 1)); // entry 0 not finished yet
+/// assert_eq!(rob.get(0).map(|e| e.state), Some(EntryState::Waiting));
 /// rob.set_executing(0, 5, false);
+/// assert_eq!(rob.get(0).map(|e| e.state), Some(EntryState::Executing(5)));
 /// assert_eq!(rob.earliest_completion(), Some(5));
 /// ```
 #[derive(Debug)]
@@ -318,15 +318,9 @@ impl Rob {
         progress
     }
 
-    /// Whether the producer `dist` positions before the allocated entry
-    /// `consumer` has its result available (`dist == 0` means no
-    /// dependence; producers before the window have retired).
-    pub fn producer_done(&self, consumer: InstrIndex, dist: u32) -> bool {
-        self.producer_blocker(consumer, dist).is_none()
-    }
-
     /// The producer `dist` positions before `consumer`, if it is in the
-    /// window and not done.
+    /// window and not done (`dist == 0` means no dependence; producers
+    /// before the window have retired).
     fn producer_blocker(&self, consumer: InstrIndex, dist: u32) -> Option<InstrIndex> {
         if dist == 0 {
             return None;
@@ -393,6 +387,7 @@ impl Rob {
     }
 
     /// The entries parked on `index`, most recently parked first.
+    // soe-lint: allow(dead-pub): tests/rob_model.rs checks the wait lists against its reference model
     pub fn waiters(&self, index: InstrIndex) -> impl Iterator<Item = InstrIndex> + '_ {
         std::iter::successors(self.get(index).and_then(|e| e.waiters_head), |&w| {
             self.get(w).and_then(|e| e.next_waiter)
@@ -464,6 +459,7 @@ impl Rob {
     }
 
     /// Number of entries waiting in the reservation station — O(1).
+    // soe-lint: allow(dead-pub): tests/rob_model.rs checks the wait lists against its reference model
     pub fn waiting_count(&self) -> usize {
         self.waiting
     }
@@ -523,11 +519,14 @@ mod tests {
         let mut rob = Rob::new(8);
         rob.push(0, alu(0), false);
         rob.push(1, alu(4), false);
-        assert!(!rob.producer_done(1, 1));
+        assert!(rob.producer_blocker(1, 1).is_some());
         force_done(&mut rob, 0);
-        assert!(rob.producer_done(1, 1));
-        assert!(rob.producer_done(1, 5), "pre-program producers are done");
-        assert!(rob.producer_done(1, 0), "no dependence");
+        assert!(rob.producer_blocker(1, 1).is_none());
+        assert!(
+            rob.producer_blocker(1, 5).is_none(),
+            "pre-program producers are done"
+        );
+        assert!(rob.producer_blocker(1, 0).is_none(), "no dependence");
     }
 
     #[test]
@@ -537,7 +536,7 @@ mod tests {
         force_done(&mut rob, 0);
         let _ = rob.pop_head();
         rob.push(1, alu(4), false);
-        assert!(rob.producer_done(1, 1));
+        assert!(rob.producer_blocker(1, 1).is_none());
     }
 
     #[test]

@@ -410,6 +410,7 @@ impl MachineConfig {
     /// A smaller, faster machine for unit tests: same structure, reduced
     /// cache sizes so that misses are easy to provoke.
     #[allow(clippy::field_reassign_with_default)]
+    // soe-lint: allow(dead-pub): the small machine of the sim unit tests and tests/*.rs proptests
     pub fn test_config() -> Self {
         let mut c = Self::default();
         c.l1i = CacheConfig {

@@ -88,12 +88,6 @@ impl FetchUnit {
         }
     }
 
-    /// Whether fetch is stalled waiting for a mispredicted branch to
-    /// resolve.
-    pub fn awaiting_redirect(&self) -> Option<InstrIndex> {
-        self.redirect_pending
-    }
-
     /// Earliest cycle at which fetch could make progress again (for the
     /// quiescent fast-forward); `None` when blocked on a branch
     /// resolution or a full buffer.
@@ -219,16 +213,6 @@ impl FetchUnit {
     pub fn peek_ready(&self, now: Cycle) -> Option<&FetchEntry> {
         self.buffer.front().filter(|e| e.ready_at <= now)
     }
-
-    /// Number of buffered micro-ops.
-    pub fn buffered(&self) -> usize {
-        self.buffer.len()
-    }
-
-    /// The next stream position to be fetched.
-    pub fn next_index(&self) -> InstrIndex {
-        self.next_index
-    }
 }
 
 #[cfg(test)]
@@ -314,14 +298,14 @@ mod tests {
             )],
         );
         let (at, _) = tick_until_progress(&mut f, &t, &mut h, &mut p, &mut b);
-        assert_eq!(f.awaiting_redirect(), Some(0));
+        assert_eq!(f.redirect_pending, Some(0));
         assert_eq!(
             f.tick(at + 1, &t, &mut h, &mut p, &mut b),
             0,
             "stalled on redirect"
         );
         f.branch_executed(0, at + 5);
-        assert!(f.awaiting_redirect().is_none());
+        assert!(f.redirect_pending.is_none());
         assert!(f.next_activity().unwrap() >= at + 5 + 14);
     }
 
@@ -330,10 +314,10 @@ mod tests {
         let (mut f, mut h, mut p, mut b, _) = setup();
         let t = AluTrace::new();
         let (at, _) = tick_until_progress(&mut f, &t, &mut h, &mut p, &mut b);
-        assert!(f.buffered() > 0);
+        assert!(!f.buffer.is_empty());
         f.restart(100, at + 6);
-        assert_eq!(f.buffered(), 0);
-        assert_eq!(f.next_index(), 100);
+        assert!(f.buffer.is_empty());
+        assert_eq!(f.next_index, 100);
         assert_eq!(f.tick(at, &t, &mut h, &mut p, &mut b), 0, "drain stall");
     }
 }

@@ -285,11 +285,6 @@ impl Tracer {
         self.len() == 0
     }
 
-    /// Events dropped so far to honour the capacity bound.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
     fn push(&mut self, event: TraceEvent) {
         if self.ring.len() >= self.cfg.capacity {
             self.ring.pop_front();
@@ -392,7 +387,7 @@ mod tests {
         }
         t.restart(150);
         assert!(t.is_empty());
-        assert_eq!(t.dropped(), 0);
+        assert_eq!(t.dropped, 0);
         t.advance(260, 9);
         let trace = t.take();
         assert_eq!(trace.events.len(), 1);

@@ -41,6 +41,7 @@ pub struct ThreadStats {
 
 impl ThreadStats {
     /// All switches out of this thread.
+    // soe-lint: allow(dead-pub): tests/proptest_sim.rs checks switch conservation with it
     pub fn switches(&self) -> u64 {
         self.event_switches + self.forced_switches + self.hint_switches
     }
@@ -78,22 +79,12 @@ impl MachineStats {
     }
 
     /// Whole-machine IPC: total retired over total cycles.
+    // soe-lint: allow(dead-pub): the core.rs and stats.rs unit tests
     pub fn ipc(&self) -> f64 {
         if self.cycles == 0 {
             0.0
         } else {
             self.total_retired() as f64 / self.cycles as f64
-        }
-    }
-
-    /// Per-thread IPC over *total* cycles — the paper's `IPC_SOE_j`.
-    pub fn thread_ipc(&self, thread: usize) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.threads
-                .get(thread)
-                .map_or(0.0, |t| t.retired as f64 / self.cycles as f64)
         }
     }
 
@@ -116,7 +107,6 @@ mod tests {
     fn ipc_handles_zero_cycles() {
         let s = MachineStats::new(2);
         assert_eq!(s.ipc(), 0.0);
-        assert_eq!(s.thread_ipc(0), 0.0);
     }
 
     #[test]
@@ -127,7 +117,6 @@ mod tests {
         s.threads[1].retired = 80;
         assert_eq!(s.total_retired(), 200);
         assert!((s.ipc() - 2.0).abs() < 1e-12);
-        assert!((s.thread_ipc(1) - 0.8).abs() < 1e-12);
     }
 
     #[test]

@@ -202,6 +202,7 @@ pub struct SwitchOnEvent;
 
 impl SwitchOnEvent {
     /// Creates the policy.
+    // soe-lint: allow(dead-pub): tests/golden.rs, tests/determinism.rs and core.rs unit tests
     pub fn new() -> Self {
         Self
     }

@@ -54,6 +54,7 @@ pub struct AluTrace;
 
 impl AluTrace {
     /// Creates the trace.
+    // soe-lint: allow(dead-pub): the sim unit tests and doctests
     pub fn new() -> Self {
         Self
     }
@@ -86,6 +87,7 @@ impl PatternTrace {
     /// # Panics
     ///
     /// Panics if `pattern` is empty.
+    // soe-lint: allow(dead-pub): the sim unit tests' trace fixture
     pub fn new(name: impl Into<String>, pattern: Vec<Uop>) -> Self {
         assert!(!pattern.is_empty(), "pattern must be non-empty");
         Self {

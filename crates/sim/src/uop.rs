@@ -52,11 +52,6 @@ impl UopKind {
     pub fn is_mem(&self) -> bool {
         matches!(self, UopKind::Load | UopKind::Store)
     }
-
-    /// Whether this kind is a branch.
-    pub fn is_branch(&self) -> bool {
-        matches!(self, UopKind::Branch { .. })
-    }
 }
 
 /// One micro-op of a thread's dynamic instruction stream.
@@ -138,12 +133,11 @@ mod tests {
         assert!(UopKind::Load.is_mem());
         assert!(UopKind::Store.is_mem());
         assert!(!UopKind::Alu.is_mem());
-        assert!(UopKind::Branch {
+        assert!(!UopKind::Branch {
             taken: true,
             target: 0
         }
-        .is_branch());
-        assert!(!UopKind::Nop.is_branch());
+        .is_mem());
     }
 
     #[test]

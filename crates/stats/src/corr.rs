@@ -1,4 +1,4 @@
-//! Correlation and simple linear-fit helpers for experiment analysis.
+//! Correlation helper for experiment analysis.
 
 /// Pearson correlation coefficient of two equal-length samples.
 ///
@@ -35,30 +35,6 @@ pub fn pearson(x: &[f64], y: &[f64]) -> f64 {
     }
 }
 
-/// Least-squares line fit `y ≈ slope·x + intercept`.
-///
-/// Returns `(slope, intercept)`; a zero-variance `x` yields slope `0.0`
-/// and the mean of `y` as intercept.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length or are empty.
-pub fn linear_fit(x: &[f64], y: &[f64]) -> (f64, f64) {
-    assert_eq!(x.len(), y.len(), "samples must pair up");
-    assert!(!x.is_empty(), "samples must be non-empty");
-    let n = x.len() as f64;
-    let mx = x.iter().sum::<f64>() / n;
-    let my = y.iter().sum::<f64>() / n;
-    let cov: f64 = x.iter().zip(y).map(|(a, b)| (a - mx) * (b - my)).sum();
-    let vx: f64 = x.iter().map(|a| (a - mx) * (a - mx)).sum();
-    if vx == 0.0 {
-        (0.0, my)
-    } else {
-        let slope = cov / vx;
-        (slope, my - slope * mx)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -82,22 +58,6 @@ mod tests {
         let x = [1.0, 2.0, 3.0, 4.0];
         let y = [1.0, -1.0, 1.0, -1.0];
         assert!(pearson(&x, &y).abs() < 0.5);
-    }
-
-    #[test]
-    fn fit_recovers_the_line() {
-        let x = [0.0, 1.0, 2.0, 5.0];
-        let y: Vec<f64> = x.iter().map(|v| -0.5 * v + 4.0).collect();
-        let (slope, intercept) = linear_fit(&x, &y);
-        assert!((slope + 0.5).abs() < 1e-12);
-        assert!((intercept - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn fit_of_constant_x() {
-        let (slope, intercept) = linear_fit(&[2.0, 2.0], &[1.0, 3.0]);
-        assert_eq!(slope, 0.0);
-        assert_eq!(intercept, 2.0);
     }
 
     #[test]

@@ -40,6 +40,7 @@ pub fn series_to_csv(series: &[TimeSeries]) -> String {
 /// # Errors
 ///
 /// A descriptive message naming the first malformed line.
+// soe-lint: allow(dead-pub): csv.rs's round-trip and malformed-input tests
 pub fn series_from_csv(text: &str) -> Result<Vec<TimeSeries>, String> {
     let mut lines = text.lines().enumerate();
     match lines.next() {

@@ -5,11 +5,9 @@
 //! the benchmark harness (`soe-bench`):
 //!
 //! * [`Summary`] / [`OnlineStats`] — aggregate statistics (mean, standard
-//!   deviation, geometric and harmonic means) over experiment runs,
+//!   deviation, extremes, quantiles) over experiment runs,
 //! * [`TimeSeries`] — sampled traces used for the Figure 5 style plots,
 //!   with CSV interchange via [`series_to_csv`] / [`series_from_csv`],
-//! * [`Histogram`] — linear- and log-binned distributions (e.g. achieved
-//!   fairness across runs),
 //! * [`Table`] — markdown table rendering for the per-table binaries,
 //! * [`chart`] — ASCII bar and line charts so every figure has a terminal
 //!   rendering.
@@ -30,16 +28,14 @@
 pub mod chart;
 mod corr;
 mod csv;
-mod histogram;
 mod online;
 mod summary;
 pub mod svg;
 mod table;
 mod timeseries;
 
-pub use corr::{linear_fit, pearson};
+pub use corr::pearson;
 pub use csv::{series_from_csv, series_to_csv};
-pub use histogram::{Histogram, HistogramBin};
 pub use online::OnlineStats;
 pub use summary::Summary;
 pub use table::{fnum, Align, Table};

@@ -31,6 +31,7 @@ pub struct OnlineStats {
 
 impl OnlineStats {
     /// Creates an empty accumulator.
+    // soe-lint: allow(dead-pub): online.rs's unit tests and doctest
     pub fn new() -> Self {
         Self {
             count: 0,

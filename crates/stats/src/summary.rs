@@ -4,9 +4,9 @@ use serde::{Deserialize, Serialize};
 
 /// Aggregate statistics of a sample of `f64` values.
 ///
-/// `Summary` stores the values it was built from so that quantiles and the
-/// different means can all be computed exactly. For streaming aggregation
-/// without retaining values use [`crate::OnlineStats`].
+/// `Summary` stores the values it was built from so that quantiles can be
+/// computed exactly. For streaming aggregation without retaining values
+/// use [`crate::OnlineStats`].
 ///
 /// # Examples
 ///
@@ -15,8 +15,8 @@ use serde::{Deserialize, Serialize};
 ///
 /// let s = Summary::from_iter([2.0, 8.0]);
 /// assert_eq!(s.mean(), 5.0);
-/// assert_eq!(s.geometric_mean(), 4.0);
-/// assert_eq!(s.harmonic_mean(), 3.2);
+/// assert_eq!(s.std_dev(), 3.0);
+/// assert_eq!(s.max(), Some(8.0));
 /// ```
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct Summary {
@@ -76,36 +76,6 @@ impl Summary {
         var.sqrt()
     }
 
-    /// Geometric mean; `0.0` for an empty sample.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any observation is negative (a geometric mean over mixed
-    /// signs is meaningless).
-    pub fn geometric_mean(&self) -> f64 {
-        if self.values.is_empty() {
-            return 0.0;
-        }
-        assert!(
-            self.values.iter().all(|v| *v >= 0.0),
-            "geometric mean requires non-negative values"
-        );
-        let log_sum: f64 = self.values.iter().map(|v| v.ln()).sum();
-        (log_sum / self.values.len() as f64).exp()
-    }
-
-    /// Harmonic mean; `0.0` for an empty sample.
-    ///
-    /// This is the mean Luo et al. use to combine per-thread speedups; the
-    /// paper's Section 6 compares the metric against the min-ratio fairness.
-    pub fn harmonic_mean(&self) -> f64 {
-        if self.values.is_empty() {
-            return 0.0;
-        }
-        let recip_sum: f64 = self.values.iter().map(|v| 1.0 / v).sum();
-        self.values.len() as f64 / recip_sum
-    }
-
     /// Smallest observation; `None` when empty.
     pub fn min(&self) -> Option<f64> {
         self.values.iter().copied().reduce(f64::min)
@@ -121,6 +91,7 @@ impl Summary {
     /// # Panics
     ///
     /// Panics if `q` is outside `[0, 1]` or any value is NaN.
+    // soe-lint: allow(dead-pub): summary.rs's quantile tests, and `median`
     pub fn quantile(&self, q: f64) -> Option<f64> {
         assert!((0.0..=1.0).contains(&q), "quantile must be in [0, 1]");
         if self.values.is_empty() {
@@ -136,6 +107,7 @@ impl Summary {
     }
 
     /// Median (the 0.5 quantile); `None` when empty.
+    // soe-lint: allow(dead-pub): summary.rs's empty-summary and quantile tests
     pub fn median(&self) -> Option<f64> {
         self.quantile(0.5)
     }
@@ -174,18 +146,6 @@ mod tests {
         let s = Summary::from_iter([2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
         assert_eq!(s.mean(), 5.0);
         assert!((s.std_dev() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn geometric_mean_of_powers_of_two() {
-        let s = Summary::from_iter([1.0, 2.0, 4.0, 8.0]);
-        assert!((s.geometric_mean() - 2f64.powf(1.5)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn harmonic_mean_matches_closed_form() {
-        let s = Summary::from_iter([1.0, 2.0]);
-        assert!((s.harmonic_mean() - 4.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

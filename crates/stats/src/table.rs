@@ -80,11 +80,6 @@ impl Table {
         self
     }
 
-    /// Number of data rows.
-    pub fn row_count(&self) -> usize {
-        self.rows.len()
-    }
-
     fn widths(&self) -> Vec<usize> {
         let mut w: Vec<usize> = self.headers.iter().map(|h| h.chars().count()).collect();
         for row in &self.rows {
@@ -178,13 +173,5 @@ mod tests {
     #[should_panic(expected = "row width")]
     fn mismatched_row_panics() {
         Table::new(vec!["a".into()]).row(vec!["x".into(), "y".into()]);
-    }
-
-    #[test]
-    fn row_count_tracks_rows() {
-        let mut t = Table::new(vec!["a".into()]);
-        assert_eq!(t.row_count(), 0);
-        t.row(vec!["1".into()]);
-        assert_eq!(t.row_count(), 1);
     }
 }

@@ -12,6 +12,7 @@ use serde::{Deserialize, Serialize};
 use soe_sim::{Addr, InstrIndex, TraceSource, Uop, UopKind};
 
 use crate::gen::SyntheticTrace;
+use crate::hash::fnv1a64;
 use crate::profile::Profile;
 
 /// A serializable snapshot from which a [`SyntheticTrace`] can be
@@ -42,6 +43,7 @@ pub struct Checkpoint {
 impl Checkpoint {
     /// Captures a checkpoint of `trace` at `position` instructions past
     /// the trace's current offset.
+    // soe-lint: allow(dead-pub): tests/determinism.rs and service.rs's memo-key test
     pub fn capture(trace: &SyntheticTrace, position: InstrIndex) -> Self {
         Self {
             profile: trace.profile().clone(),
@@ -61,6 +63,7 @@ impl Checkpoint {
     ///
     /// Returns a `serde_json::Error` if serialization fails (it cannot
     /// for well-formed profiles).
+    // soe-lint: allow(dead-pub): tests/determinism.rs's checkpoint round trip
     pub fn to_json(&self) -> Result<String, serde_json::Error> {
         serde_json::to_string_pretty(self)
     }
@@ -70,6 +73,7 @@ impl Checkpoint {
     /// # Errors
     ///
     /// Returns a `serde_json::Error` on malformed input.
+    // soe-lint: allow(dead-pub): tests/determinism.rs's checkpoint round trip
     pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
         serde_json::from_str(json)
     }
@@ -90,17 +94,6 @@ impl Checkpoint {
             fnv1a64(canonical.as_bytes())
         )
     }
-}
-
-/// FNV-1a 64-bit — the same digest the supervision journal uses; tiny,
-/// dependency-free, and stable across platforms.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        hash ^= u64::from(*b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// The LIT "injectable external events" analogue: a periodic interrupt
@@ -125,6 +118,7 @@ impl<T: TraceSource> InterruptOverlay<T> {
     /// # Panics
     ///
     /// Panics if `period == 0` or `handler_len >= period`.
+    // soe-lint: allow(dead-pub): checkpoint.rs's interrupt-overlay tests
     pub fn new(inner: T, period: u64, handler_len: u64, kernel_base: Addr) -> Self {
         assert!(period > 0, "interrupt period must be positive");
         assert!(

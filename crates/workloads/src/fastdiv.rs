@@ -44,11 +44,6 @@ impl FastDiv {
         }
     }
 
-    /// The divisor this instance divides by.
-    pub fn divisor(self) -> u64 {
-        self.divisor
-    }
-
     /// Exact `(n / d, n % d)`.
     #[inline]
     pub fn div_rem(self, n: u64) -> (u64, u64) {
@@ -62,19 +57,10 @@ impl FastDiv {
         (q, r)
     }
 
-    /// Exact `n / d`.
-    ///
-    /// Not `std::ops::Div`: `self` is the *divisor* wrapper and `n` the
-    /// dividend, the reverse of the trait's operand order.
-    #[inline]
-    #[allow(clippy::should_implement_trait)]
-    pub fn div(self, n: u64) -> u64 {
-        self.div_rem(n).0
-    }
-
     /// Exact `n % d`.
     ///
-    /// Not `std::ops::Rem`: operand order is reversed, as with [`Self::div`].
+    /// Not `std::ops::Rem`: `self` is the *divisor* wrapper and `n` the
+    /// dividend, the reverse of the trait's operand order.
     #[inline]
     #[allow(clippy::should_implement_trait)]
     pub fn rem(self, n: u64) -> u64 {

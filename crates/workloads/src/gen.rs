@@ -61,8 +61,8 @@ pub struct SyntheticTrace {
     base: Addr,
     offset: InstrIndex,
     /// One dependency-distance inversion table per phase (a single
-    /// entry for stationary profiles), indexed by
-    /// [`Profile::phase_index_at`]. Built once at construction;
+    /// entry for stationary profiles), indexed by the phase index from
+    /// [`SyntheticTrace::phase_of`]. Built once at construction;
     /// bit-exact with the closed-form draw the generator used to make
     /// per micro-op.
     dep_tables: Vec<GeometricTable>,
@@ -120,9 +120,7 @@ impl SyntheticTrace {
     }
 
     /// The phase state the per-uop path needs at position `i`, in one
-    /// walk: `(miss_scale, phase index)` — the split
-    /// [`Profile::phase_at`] / [`Profile::phase_index_at`] pair walks
-    /// the phase list twice and divides by the cycle length twice.
+    /// walk: `(miss_scale, phase index)`.
     fn phase_of(&self, i: InstrIndex) -> (f64, usize) {
         let Some(cycle) = self.div_phase_cycle else {
             return (1.0, 0);
@@ -220,7 +218,7 @@ impl SyntheticTrace {
 
     fn deps(&self, i: InstrIndex, phase: usize) -> [u32; 2] {
         let p = &self.profile;
-        // soe-lint: allow(slice-index): one table per phase is built at construction and phase indices come from Profile::phase_index_at
+        // soe-lint: allow(slice-index): one table per phase is built at construction and phase indices come from phase_of
         let table = &self.dep_tables[phase];
         let d1 = table.sample(mix(p.seed, i, SALT_DEP1)) as u32;
         let d2 = if unit(p.seed, i, SALT_DEP2_PRESENT) < 0.4 {

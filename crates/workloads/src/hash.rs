@@ -28,6 +28,20 @@ pub fn unit(seed: u64, index: u64, salt: u64) -> f64 {
     (mix(seed, index, salt) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
+/// FNV-1a 64-bit: a tiny, dependency-free digest, stable across
+/// platforms. The supervision journal and the serve memo checksum their
+/// records with it, and checkpoint memo keys hash their canonical form
+/// with it, so files already on disk depend on these exact bits.
+#[inline]
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in bytes {
+        hash ^= u64::from(*b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
 /// The number of uniform bits behind [`unit`]; samples live in
 /// `[0, 2^53)`.
 const SAMPLE_BITS: u32 = 53;
@@ -50,6 +64,7 @@ fn geometric_from_sample(sample: u64, mean: f64) -> u64 {
 ///
 /// Panics if `mean < 1.0`.
 #[inline]
+// soe-lint: allow(dead-pub): the closed form hash.rs's tests check GeometricTable against
 pub fn geometric(seed: u64, index: u64, salt: u64, mean: f64) -> u64 {
     assert!(mean >= 1.0, "geometric mean must be at least 1");
     geometric_from_sample(mix(seed, index, salt) >> 11, mean)
@@ -180,6 +195,13 @@ fn first_reaching(target: u64, mean: f64, floor: u64, guess: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a64_matches_the_reference_vectors() {
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
+    }
 
     #[test]
     fn mix_is_deterministic() {

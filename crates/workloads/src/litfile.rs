@@ -80,11 +80,6 @@ impl LitFile {
         self.uops.is_empty()
     }
 
-    /// Stream position the recording started at.
-    pub fn start(&self) -> InstrIndex {
-        self.start
-    }
-
     /// Serializes into `writer`.
     ///
     /// # Errors
@@ -249,7 +244,7 @@ mod tests {
             assert_eq!(lit.uop_at(i), src.uop_at(500 + i));
         }
         assert_eq!(lit.name(), "gcc");
-        assert_eq!(lit.start(), 500);
+        assert_eq!(lit.start, 500);
     }
 
     #[test]

@@ -35,6 +35,7 @@ impl<T: TraceSource> PauseOverlay<T> {
     /// # Panics
     ///
     /// Panics if `period < 2` (the stream must keep real work).
+    // soe-lint: allow(dead-pub): tests/extensions.rs
     pub fn new(inner: T, period: u64) -> Self {
         assert!(period >= 2, "pause period must leave room for real work");
         Self { inner, period }
@@ -68,6 +69,7 @@ pub struct RelocateOverlay<T> {
 impl<T: TraceSource> RelocateOverlay<T> {
     /// Wraps `inner`, adding `displacement` to every code and data
     /// address.
+    // soe-lint: allow(dead-pub): overlay.rs's relocate_shifts_all_addresses test
     pub fn new(inner: T, displacement: Addr) -> Self {
         Self {
             inner,

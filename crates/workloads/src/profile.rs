@@ -168,6 +168,7 @@ impl Profile {
 
     /// The phase parameters in effect at dynamic instruction `index`:
     /// `(miss_scale, ilp_scale)`.
+    // soe-lint: allow(dead-pub): profile.rs's phase tests
     pub fn phase_at(&self, index: u64) -> (f64, f64) {
         let Some(cycle) = self.phase_cycle() else {
             return (1.0, 1.0);
@@ -176,26 +177,6 @@ impl Profile {
         for p in &self.phases {
             if pos < p.len_instrs {
                 return (p.miss_scale, p.ilp_scale);
-            }
-            pos -= p.len_instrs;
-        }
-        // soe-lint: allow(panic-reachability): pos < cycle = Σ len_instrs, so one phase must absorb it
-        unreachable!("phase walk covers the cycle")
-    }
-
-    /// Index into [`Profile::phases`] of the phase in effect at dynamic
-    /// instruction `index` (`0` for a stationary profile). Lets callers
-    /// key per-phase precomputed state (e.g. the trace generator's
-    /// dependency-distance tables) off the same walk as
-    /// [`Profile::phase_at`].
-    pub fn phase_index_at(&self, index: u64) -> usize {
-        let Some(cycle) = self.phase_cycle() else {
-            return 0;
-        };
-        let mut pos = index % cycle;
-        for (k, p) in self.phases.iter().enumerate() {
-            if pos < p.len_instrs {
-                return k;
             }
             pos -= p.len_instrs;
         }
